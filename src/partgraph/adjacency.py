@@ -32,6 +32,7 @@ from .core import LabelMap, ProbMap, _check_labels_below
 from .errors import DomainError
 from .morphology import (
     StructuringElement,
+    check_beta,
     dilate_array,
     soft_dilate_backward,
     soft_dilate_forward,
@@ -43,6 +44,10 @@ WEIGHTINGS = ("weighted", "unweighted")
 RAW_COUNTS = "raw_counts"
 NORMALIZED = "normalized"
 NORM_TOL = 1e-9
+# Channels per soft-dilation call: one call amortizes the per-call overhead
+# over a block, and blocks keep the kernel's temporaries small (at 256x256,
+# blocks of 4 and 16 ran slower than 8, and 16 raised the peak memory).
+_SOFT_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,7 @@ class AdjacencyConfig:
             raise DomainError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.weighting not in WEIGHTINGS:
             raise DomainError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
-        if self.beta <= 0.0:
-            raise DomainError(f"beta must be > 0, got {self.beta}")
+        check_beta(self.beta)
         # shape and soft mode are validated by their consumers
         StructuringElement(self.element_shape, 0)
 
@@ -200,17 +204,14 @@ def soft_adjacency(pred: ProbMap, cfg: AdjacencyConfig):
 def _soft_adjacency_forward(probs: np.ndarray, cfg: AdjacencyConfig):
     """Raw adjacency of an (H, W, C) array plus the cache for the backward pass."""
     h, w, c = probs.shape
-    elem = cfg.element
-    dilated = np.empty((c, h * w), dtype=np.float64)
+    stack = np.moveaxis(probs, 2, 0)
+    dilated = np.zeros((c, h * w), dtype=np.float64)
     caches = []
-    for ch in range(c):
-        if ch == 0 and not cfg.include_background:
-            dilated[ch] = 0.0
-            caches.append(None)
-            continue
-        field, cache = soft_dilate_forward(probs[:, :, ch], elem, cfg.soft_mode, cfg.beta)
-        dilated[ch] = field.ravel()
-        caches.append(cache)
+    for lo in range(0 if cfg.include_background else 1, c, _SOFT_BLOCK):
+        hi = min(lo + _SOFT_BLOCK, c)
+        fields, cache = soft_dilate_forward(stack[lo:hi], cfg.element, cfg.soft_mode, cfg.beta)
+        dilated[lo:hi] = fields.reshape(hi - lo, h * w)
+        caches.append((lo, hi, cache))
     counts = dilated @ dilated.T
     np.fill_diagonal(counts, 0.0)
     raw = _apply_weighting(counts, cfg.weighting)
@@ -276,12 +277,12 @@ def gm_value_and_grad(probs: np.ndarray, reference: AdjacencyMatrix,
 
     # counts = D D^T, so grad_D = (G + G^T) D
     grad_dilated = (grad_raw + grad_raw.T) @ dilated
+    del dilated  # the backward's arrays may reuse its memory
 
     grad = np.zeros_like(probs)
-    for ch in range(c):
-        if caches[ch] is None:
-            continue
-        grad[:, :, ch] = soft_dilate_backward(grad_dilated[ch].reshape(h, w), caches[ch])
+    grad_stack = np.moveaxis(grad, 2, 0)
+    for lo, hi, cache in caches:
+        grad_stack[lo:hi] = soft_dilate_backward(grad_dilated[lo:hi].reshape(hi - lo, h, w), cache)
     return loss, grad
 
 

@@ -143,5 +143,9 @@ def total_loss(pred: ProbMap, gt_parts: LabelMap, gt_objects: LabelMap | None,
     except DomainError as exc:
         raise DomainError(f"graph-matching term: {exc}") from exc
     report = LossReport.combine(ce, rec, gm, weights)
-    grad = grad_ce + weights.lambda1 * grad_rec + weights.lambda2 * grad_gm
-    return report, grad
+    # in place, in the order of ce + lambda1 * rec + lambda2 * gm
+    grad_rec *= weights.lambda1
+    grad_gm *= weights.lambda2
+    grad_ce += grad_rec
+    grad_ce += grad_gm
+    return report, grad_ce

@@ -10,7 +10,18 @@ nothing outside the image participates, not even as zeros.
 sit inside a differentiable pipeline. ``hard_max`` takes the windowed
 maximum (which reduces to plain dilation on 0/1 fields); ``smooth_max``
 takes the log-sum-exp (1/beta) * log(sum exp(beta * x)) over the window,
-clamped to [0, 1].
+clamped to [0, 1]. Because inputs lie in [0, 1], smooth_max uses the fixed
+shift 1 in place of the window's peak, 1 + log(sum exp(beta * (x - 1))) /
+beta, which stays finite for 0 < beta <= 700 (exp(-beta) is then a normal
+float); other values of beta are rejected.
+
+Every dilation is one window reduction over the last two axes of a
+(..., H, W) array, so a stack of channels dilates in one call: a row pass
+grows each row segment to its half-width, then a column pass combines the
+row segments of the window, each a handful of shifted slices. A square's
+segments all have half-width r; a diamond's has half-width r - |dy| at row
+offset dy. The cost grows linearly with the radius, and no further than the
+image reaches, so a radius beyond the image costs what the image costs.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ from .errors import DomainError
 
 ELEMENT_SHAPES = ("square", "diamond")
 SOFT_MODES = ("hard_max", "smooth_max")
+# smooth_max shifts by 1 instead of the window peak; exp(-beta) must stay normal
+MAX_BETA = 700.0
 
 
 @dataclass(frozen=True)
@@ -36,13 +49,6 @@ class StructuringElement:
         if int(self.radius) != self.radius or self.radius < 0:
             raise DomainError(f"radius must be a nonnegative integer, got {self.radius}")
         object.__setattr__(self, "radius", int(self.radius))
-
-    def offsets(self) -> list[tuple[int, int]]:
-        """(dy, dx) neighborhood offsets in lexicographic order."""
-        r = self.radius
-        if self.shape == "square":
-            return [(dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1)]
-        return [(dy, dx) for dy in range(-r, r + 1) for dx in range(-r + abs(dy), r - abs(dy) + 1)]
 
 
 @dataclass(frozen=True)
@@ -68,112 +74,120 @@ class BinaryMask:
         return self.bits.shape[1]
 
 
-def _shift_slices(shape: tuple[int, int], dy: int, dx: int):
-    """Output/input slice pair so that out[sl_out] aligns with in[sl_in] shifted by (dy, dx).
+def check_beta(beta: float) -> None:
+    """Reject a smooth-max sharpness outside (0, MAX_BETA], NaN included."""
+    if not 0.0 < beta <= MAX_BETA:
+        raise DomainError(f"beta must be finite, > 0 and <= {MAX_BETA:g}, got {beta}")
 
-    Offsets at least as large as a dimension yield empty (zero-length) slices.
+
+def _combine_shifted(acc, src, d: int, axis: int, op) -> None:
+    """Combine ``src`` shifted by -d and by +d along ``axis`` (-1 or -2) into ``acc`` with ``op``.
+
+    Shifted-in pixels from beyond the border do not exist, so the slices clip.
     """
-    h, w = shape
+    if d == 0:
+        op(acc, src, out=acc)
+        return
+    tail = (slice(None),) * (-1 - axis)
+    lo, hi = (..., slice(None, -d)) + tail, (..., slice(d, None)) + tail
+    op(acc[hi], src[lo], out=acc[hi])
+    op(acc[lo], src[hi], out=acc[lo])
 
-    def _axis(n: int, d: int):
-        out_start = max(0, -d)
-        out_stop = max(out_start, min(n, n - d))
-        in_start = max(0, d)
-        in_stop = max(in_start, min(n, n + d))
-        return slice(out_start, out_stop), slice(in_start, in_stop)
 
-    ys_out, ys_in = _axis(h, dy)
-    xs_out, xs_in = _axis(w, dx)
-    return (ys_out, xs_out), (ys_in, xs_in)
+def _window_reduce(x: np.ndarray, elem: StructuringElement, op, start) -> np.ndarray:
+    """Reduce each pixel's border-clipped window over the last two axes of ``x``.
+
+    ``op(a, b, out=a)`` must be associative and commutative, with ``start``
+    as its identity. A row pass grows running row segments, and a column pass
+    combines the segment of every row offset dy, from the farthest offset
+    inward, since a diamond's segment half-width r - |dy| only grows on the
+    way. Offsets beyond the image reach nothing and are skipped, which bounds
+    the work by the image size whatever the radius.
+    """
+    h, w = x.shape[-2:]
+    r = elem.radius
+    rows = x.copy()  # x reduced over row segments of half-width `grown`
+    grown = 0
+    out = np.full_like(x, start)
+    for dy in range(min(r, h - 1), -1, -1):
+        half = min(r if elem.shape == "square" else r - dy, w - 1)
+        for dx in range(grown + 1, half + 1):
+            _combine_shifted(rows, x, dx, -1, op)
+        grown = max(grown, half)
+        _combine_shifted(out, rows, dy, -2, op)
+    return out
+
+
+def _first_max(acc, src, out) -> None:
+    """Pairwise maximum of (value, -index) pairs stacked on axis 0: ties go to the lower index."""
+    take = (src[0] > acc[0]) | ((src[0] == acc[0]) & (src[1] > acc[1]))
+    np.copyto(out, src, where=take)
 
 
 def dilate(mask: BinaryMask, elem: StructuringElement) -> BinaryMask:
     """Binary dilation of ``mask`` by ``elem``, border-clipped."""
-    bits = mask.bits
-    out = np.zeros_like(bits)
-    for dy, dx in elem.offsets():
-        sl_out, sl_in = _shift_slices(bits.shape, dy, dx)
-        out[sl_out] |= bits[sl_in]
-    return BinaryMask(out)
+    return BinaryMask(dilate_array(mask.bits, elem))
 
 
 def dilate_array(bits: np.ndarray, elem: StructuringElement) -> np.ndarray:
-    """Array-in, array-out variant of :func:`dilate` for internal hot paths."""
-    bits = np.asarray(bits, dtype=bool)
-    out = np.zeros_like(bits)
-    for dy, dx in elem.offsets():
-        sl_out, sl_in = _shift_slices(bits.shape, dy, dx)
-        out[sl_out] |= bits[sl_in]
-    return out
+    """Array-in, array-out :func:`dilate` of a (..., H, W) stack of masks."""
+    return _window_reduce(np.asarray(bits, dtype=bool), elem, np.logical_or, False)
 
 
 def soft_dilate(channel: np.ndarray, elem: StructuringElement,
                 mode: str = "hard_max", beta: float = 20.0) -> np.ndarray:
-    """Dilate a real-valued field in [0, 1]; see the module docstring for the modes."""
+    """Dilate a real-valued field, or a (..., H, W) stack of them, in [0, 1].
+
+    See the module docstring for the modes.
+    """
     out, _ = soft_dilate_forward(channel, elem, mode, beta)
     return out
 
 
-def soft_dilate_forward(channel: np.ndarray, elem: StructuringElement,
+def soft_dilate_forward(stack: np.ndarray, elem: StructuringElement,
                         mode: str = "hard_max", beta: float = 20.0):
-    """Forward pass returning (output, cache) where cache feeds :func:`soft_dilate_backward`."""
-    x = np.asarray(channel, dtype=np.float64)
-    if x.ndim != 2:
-        raise DomainError(f"expected a 2D field, got shape {x.shape}")
+    """Dilate every (H, W) field of a (..., H, W) stack.
+
+    Returns (output, cache) where cache feeds :func:`soft_dilate_backward`.
+    """
+    # contiguous, so that every array derived from x is laid out row-major too
+    x = np.ascontiguousarray(stack, dtype=np.float64)
+    if x.ndim < 2:
+        raise DomainError(f"expected (..., H, W) fields, got shape {x.shape}")
     if x.min() < 0.0 or x.max() > 1.0 + 1e-6:
         raise DomainError("soft dilation expects values in [0, 1]")
     if mode not in SOFT_MODES:
         raise DomainError(f"mode must be one of {SOFT_MODES}, got {mode!r}")
-    offsets = elem.offsets()
-
-    # windowed maximum, shared by both modes (smooth_max uses it for stability)
-    peak = np.full_like(x, -np.inf)
-    for dy, dx in offsets:
-        sl_out, sl_in = _shift_slices(x.shape, dy, dx)
-        np.maximum(peak[sl_out], x[sl_in], out=peak[sl_out])
 
     if mode == "hard_max":
-        # the winner is the first offset (lexicographic order) attaining the
-        # maximum, i.e. the lowest row-major input index; ties resolve there
-        winner = np.full(x.shape, -1, dtype=np.int32)
-        for idx, (dy, dx) in enumerate(offsets):
-            sl_out, sl_in = _shift_slices(x.shape, dy, dx)
-            hit = (x[sl_in] == peak[sl_out]) & (winner[sl_out] < 0)
-            winner[sl_out][hit] = idx
-        cache = ("hard_max", x.shape, offsets, winner)
-        return peak, cache
+        # the winner is the first input pixel in row-major order attaining the
+        # window maximum; ties resolve there
+        index = np.arange(x.size, dtype=np.float64).reshape(x.shape)
+        best = _window_reduce(np.stack([x, -index]), elem, _first_max, -np.inf)
+        winner = (-best[1]).astype(np.intp)
+        return best[0], ("hard_max", winner)
 
-    if beta <= 0.0:
-        raise DomainError(f"smooth_max needs beta > 0, got {beta}")
-    expsum = np.zeros_like(x)
-    for dy, dx in offsets:
-        sl_out, sl_in = _shift_slices(x.shape, dy, dx)
-        expsum[sl_out] += np.exp(beta * (x[sl_in] - peak[sl_out]))
-    raw = peak + np.log(expsum) / beta
-    out = np.minimum(raw, 1.0)
-    cache = ("smooth_max", x.shape, offsets, (x, peak, expsum, raw <= 1.0, beta))
-    return out, cache
+    check_beta(beta)
+    weight = np.exp(beta * (x - 1.0))
+    expsum = _window_reduce(weight, elem, np.add, 0.0)
+    raw = 1.0 + np.log(expsum) / beta
+    # clamped pixels pass no gradient
+    inv_open = np.divide(1.0, expsum, out=np.zeros_like(expsum), where=raw <= 1.0)
+    return np.minimum(raw, 1.0), ("smooth_max", weight, inv_open, elem)
 
 
 def soft_dilate_backward(grad_out: np.ndarray, cache) -> np.ndarray:
-    """Gradient of :func:`soft_dilate_forward` with respect to the input field.
+    """Gradient of :func:`soft_dilate_forward` with respect to the input stack.
 
     hard_max routes each output pixel's gradient to its window argmax;
     smooth_max distributes it with softmax weights. Output pixels clamped at
     1 pass no gradient.
     """
-    mode, shape, offsets, data = cache
-    grad_in = np.zeros(shape, dtype=np.float64)
-    if mode == "hard_max":
-        winner = data
-        for idx, (dy, dx) in enumerate(offsets):
-            sl_out, sl_in = _shift_slices(shape, dy, dx)
-            grad_in[sl_in] += grad_out[sl_out] * (winner[sl_out] == idx)
-        return grad_in
-    x, peak, expsum, open_mask, beta = data
-    g = grad_out * open_mask
-    for dy, dx in offsets:
-        sl_out, sl_in = _shift_slices(shape, dy, dx)
-        weight = np.exp(beta * (x[sl_in] - peak[sl_out])) / expsum[sl_out]
-        grad_in[sl_in] += g[sl_out] * weight
-    return grad_in
+    if cache[0] == "hard_max":
+        winner = cache[1]
+        return np.bincount(winner.ravel(), weights=np.ravel(grad_out),
+                           minlength=winner.size).reshape(winner.shape)
+    # d out[y] / d x[p] = weight[p] / expsum[y] on p's window; windows are symmetric
+    _, weight, inv_open, elem = cache
+    grad_in = _window_reduce(grad_out * inv_open, elem, np.add, 0.0)
+    return np.multiply(grad_in, weight, out=grad_in)

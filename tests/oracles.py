@@ -161,3 +161,73 @@ def random_probs(rng: np.random.Generator, h: int, w: int, c: int,
 
 def sample_coords(rng: np.random.Generator, shape, count: int):
     return [tuple(int(rng.integers(0, s)) for s in shape) for _ in range(count)]
+
+
+def _shift_slices(shape, dy: int, dx: int):
+    """Output/input slice pair so that out[sl_out] aligns with in[sl_in] shifted by (dy, dx)."""
+    h, w = shape
+
+    def _axis(n: int, d: int):
+        out_start = max(0, -d)
+        out_stop = max(out_start, min(n, n - d))
+        in_start = max(0, d)
+        in_stop = max(in_start, min(n, n + d))
+        return slice(out_start, out_stop), slice(in_start, in_stop)
+
+    ys_out, ys_in = _axis(h, dy)
+    xs_out, xs_in = _axis(w, dx)
+    return (ys_out, xs_out), (ys_in, xs_in)
+
+
+def element_offsets(shape: str, radius: int):
+    """(dy, dx) offsets within ``radius`` in lexicographic order."""
+    return [(dy, dx) for dy in range(-radius, radius + 1) for dx in range(-radius, radius + 1)
+            if pixel_distance(dy, dx, shape) <= radius]
+
+
+def soft_dilate_forward_oracle(field: np.ndarray, shape: str, radius: int,
+                               mode: str = "hard_max", beta: float = 20.0):
+    """Soft dilation of one (H, W) field by a loop over the window offsets.
+
+    Returns (output, cache) for :func:`soft_dilate_backward_oracle`. hard_max
+    routes to the first offset (lexicographic order) attaining the window
+    maximum; smooth_max is the log-sum-exp shifted by the window peak,
+    clamped at 1.
+    """
+    x = np.asarray(field, dtype=np.float64)
+    offsets = element_offsets(shape, radius)
+    peak = np.full_like(x, -np.inf)
+    for dy, dx in offsets:
+        sl_out, sl_in = _shift_slices(x.shape, dy, dx)
+        np.maximum(peak[sl_out], x[sl_in], out=peak[sl_out])
+    if mode == "hard_max":
+        winner = np.full(x.shape, -1, dtype=np.int64)
+        for idx, (dy, dx) in enumerate(offsets):
+            sl_out, sl_in = _shift_slices(x.shape, dy, dx)
+            hit = (x[sl_in] == peak[sl_out]) & (winner[sl_out] < 0)
+            winner[sl_out][hit] = idx
+        return peak, ("hard_max", x.shape, offsets, winner)
+    expsum = np.zeros_like(x)
+    for dy, dx in offsets:
+        sl_out, sl_in = _shift_slices(x.shape, dy, dx)
+        expsum[sl_out] += np.exp(beta * (x[sl_in] - peak[sl_out]))
+    raw = peak + np.log(expsum) / beta
+    return np.minimum(raw, 1.0), ("smooth_max", x.shape, offsets,
+                                  (x, peak, expsum, raw <= 1.0, beta))
+
+
+def soft_dilate_backward_oracle(grad_out: np.ndarray, cache) -> np.ndarray:
+    """Gradient of :func:`soft_dilate_forward_oracle` by the same offset loop."""
+    mode, shape, offsets, data = cache
+    grad_in = np.zeros(shape, dtype=np.float64)
+    if mode == "hard_max":
+        for idx, (dy, dx) in enumerate(offsets):
+            sl_out, sl_in = _shift_slices(shape, dy, dx)
+            grad_in[sl_in] += grad_out[sl_out] * (data[sl_out] == idx)
+        return grad_in
+    x, peak, expsum, open_mask, beta = data
+    g = grad_out * open_mask
+    for dy, dx in offsets:
+        sl_out, sl_in = _shift_slices(shape, dy, dx)
+        grad_in[sl_in] += g[sl_out] * np.exp(beta * (x[sl_in] - peak[sl_out])) / expsum[sl_out]
+    return grad_in

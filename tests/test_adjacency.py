@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,13 @@ def test_config_invariants():
         AdjacencyConfig(distance_threshold=-1)
     with pytest.raises(DomainError):
         AdjacencyConfig(method="nearest")
+
+
+def test_config_rejects_beta_outside_the_fixed_shift_range():
+    for beta in (0.0, -2.0, float("nan"), float("inf"), float("-inf"), 701.0):
+        with pytest.raises(DomainError):
+            AdjacencyConfig(beta=beta)
+    assert AdjacencyConfig(beta=700.0).beta == 700.0
 
 
 def test_single_part_gives_zero_matrix():
@@ -341,3 +350,38 @@ def test_gm_grad_unweighted_saturated_region_is_flat():
     probe = probs.copy()
     probe[4, 4, 1] += h
     assert gm_value(probe, reference, cfg) == gm_value(probs, reference, cfg)
+
+
+@pytest.mark.parametrize("include_background", [True, False])
+def test_gm_grad_across_channel_blocks_matches_finite_differences(include_background):
+    # more channels than one soft-dilation call takes, so the blocks must
+    # line up in the forward and the backward pass
+    rng = np.random.default_rng(19)
+    cfg = AdjacencyConfig(distance_threshold=2, soft_mode="smooth_max", beta=20.0,
+                          include_background=include_background)
+    m = random_label_map(rng, 6, 5, 19)
+    reference = normalize_rows(adjacency_from_labels(m, 19, cfg))
+    probs = random_probs(rng, 6, 5, 19)
+    loss, grad = gm_value_and_grad(probs, reference, cfg)
+    assert loss > 0
+    assert grad[:, :, 0].any() == include_background
+
+    def objective(x):
+        return gm_value(x, reference, cfg)
+
+    coords = sample_coords(rng, probs.shape, 30)
+    assert fd_check(objective, probs, grad, coords) < 1e-4
+
+
+def test_gm_value_and_grad_peak_memory_is_bounded():
+    rng = np.random.default_rng(20)
+    cfg = AdjacencyConfig()
+    reference = normalize_rows(adjacency_from_labels(random_label_map(rng, 96, 96, 40), 40, cfg))
+    probs = random_probs(rng, 96, 96, 40)
+    tracemalloc.start()
+    try:
+        gm_value_and_grad(probs, reference, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * probs.nbytes

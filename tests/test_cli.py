@@ -70,6 +70,23 @@ def test_dilate_command(tmp_path, scene_files):
     assert grown.labels.sum() > (parts.labels != 0).sum()
 
 
+@pytest.mark.parametrize("shape,covering", [("square", 8), ("diamond", 16)])
+def test_dilate_radius_beyond_the_image_costs_what_the_image_costs(tmp_path, scene_files,
+                                                                    shape, covering):
+    # on the 8x8 map, radius 8 (square) or 16 (diamond) reaches every pixel
+    base, _, _ = scene_files
+    outputs = []
+    for radius in (covering, 100000, 10**9):
+        out = tmp_path / f"dilated-{radius}.segmap"
+        result = subprocess.run([sys.executable, "-m", "partgraph", "dilate",
+                                 "--in", str(base / "parts.segmap"), "--radius", str(radius),
+                                 "--shape", shape, "--out", str(out)],
+                                capture_output=True, timeout=30)
+        assert result.returncode == 0, result.stderr
+        outputs.append(load_segmap(out).labels)
+    assert all(np.array_equal(outputs[0], out) for out in outputs[1:])
+
+
 def test_graph_command_matches_library(scene_files):
     base, parts, _ = scene_files
     result = run_cli("graph", "--in", str(base / "parts.segmap"), "--parts", "3",
@@ -122,6 +139,17 @@ def test_loss_size_mismatch_names_both_sizes(tmp_path, scene_files):
                      "--mapping", str(base / "labelset.json"))
     assert result.returncode == 2
     assert b"8x8" in result.stderr and b"4x4" in result.stderr
+
+
+def test_loss_rejects_nan_beta(scene_files):
+    base, _, _ = scene_files
+    result = run_cli("loss", "--pred", str(base / "pred.probmap"),
+                     "--gt", str(base / "parts.segmap"),
+                     "--mapping", str(base / "labelset.json"), "--beta", "nan")
+    assert result.returncode == 2
+    assert result.stdout == b""
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1 and "beta" in lines[0]
 
 
 def test_metrics_command(tmp_path, scene_files):

@@ -2,16 +2,26 @@ import numpy as np
 import pytest
 
 from partgraph import BinaryMask, DomainError, StructuringElement, dilate, soft_dilate
-from partgraph.morphology import soft_dilate_backward, soft_dilate_forward
+from partgraph.morphology import dilate_array, soft_dilate_backward, soft_dilate_forward
 
-from oracles import dilate_oracle, fd_check, rel_err, sample_coords, window_max_oracle
+from oracles import (
+    dilate_oracle,
+    fd_check,
+    rel_err,
+    sample_coords,
+    soft_dilate_backward_oracle,
+    soft_dilate_forward_oracle,
+    window_max_oracle,
+)
 
 
 def test_element_neighborhoods():
-    square = StructuringElement("square", 1)
-    assert len(square.offsets()) == 9
-    diamond = StructuringElement("diamond", 1)
-    assert sorted(diamond.offsets()) == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+    center = np.zeros((5, 5), dtype=bool)
+    center[2, 2] = True
+    square = dilate(BinaryMask(center), StructuringElement("square", 1)).bits
+    assert square.sum() == 9 and square[1:4, 1:4].all()
+    diamond = dilate(BinaryMask(center), StructuringElement("diamond", 1)).bits
+    assert sorted(zip(*np.nonzero(diamond))) == [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]
     with pytest.raises(DomainError):
         StructuringElement("circle", 1)
     with pytest.raises(DomainError):
@@ -100,10 +110,14 @@ def test_soft_hard_max_bounds():
 
 def test_smooth_max_rejects_bad_beta():
     field = np.zeros((3, 3))
+    elem = StructuringElement("square", 1)
+    for beta in (0.0, -1.0, float("nan"), float("inf"), 700.5):
+        with pytest.raises(DomainError):
+            soft_dilate(field, elem, mode="smooth_max", beta=beta)
     with pytest.raises(DomainError):
-        soft_dilate(field, StructuringElement("square", 1), mode="smooth_max", beta=0.0)
-    with pytest.raises(DomainError):
-        soft_dilate(field, StructuringElement("square", 1), mode="bogus")
+        soft_dilate(field, elem, mode="bogus")
+    # the largest accepted beta keeps every output finite
+    assert np.isfinite(soft_dilate(field, elem, mode="smooth_max", beta=700.0)).all()
 
 
 def test_smooth_max_dominates_hard_max_until_clamp():
@@ -164,3 +178,30 @@ def test_hard_backward_matches_finite_differences_off_ties():
 
     coords = sample_coords(rng, field.shape, 20)
     assert fd_check(objective, field, grad, coords) < 1e-6
+
+
+# radii 0, 1, 2 and two beyond the 5 x 7 fields: max(H, W) and past H + W - 2
+@pytest.mark.parametrize("radius", [0, 1, 2, 7, 15])
+@pytest.mark.parametrize("shape", ["square", "diamond"])
+@pytest.mark.parametrize("mode", ["binary", "hard_max", "smooth_max"])
+def test_stacked_kernel_matches_offset_loop_oracle(mode, shape, radius):
+    rng = np.random.default_rng(13 + radius)
+    stack = rng.random((3, 5, 7))
+    stack[1, 1:3, 2:5] = stack[1].max()  # a plateau, so hard_max has ties to break
+    elem = StructuringElement(shape, radius)
+    if mode == "binary":
+        out = dilate_array(stack < 0.3, elem)
+        for ch in range(stack.shape[0]):
+            assert np.array_equal(out[ch], dilate_oracle(stack[ch] < 0.3, shape, radius))
+        return
+    probe = rng.standard_normal(stack.shape)
+    out, cache = soft_dilate_forward(stack, elem, mode, 20.0)
+    grad = soft_dilate_backward(probe, cache)
+    for ch in range(stack.shape[0]):
+        want, want_cache = soft_dilate_forward_oracle(stack[ch], shape, radius, mode, 20.0)
+        want_grad = soft_dilate_backward_oracle(probe[ch], want_cache)
+        if mode == "hard_max":
+            assert np.array_equal(out[ch], want)
+        else:
+            np.testing.assert_allclose(out[ch], want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grad[ch], want_grad, rtol=1e-12, atol=0)
