@@ -13,17 +13,14 @@ from .adjacency import (
     AdjacencyMatrix,
     adjacency_from_labels,
     gm_loss,
-    gm_loss_grad,
     normalize_rows,
     soft_adjacency,
 )
 from .condnet import (
     EmbeddingConfig,
     ToyNetConfig,
-    concat_condition,
     conv2d_backward,
     conv2d_forward,
-    embed_objects,
     init_toy_params,
     mean_gm_loss,
     toy_forward,
@@ -62,11 +59,10 @@ __all__ = [
     "DomainError", "EmbeddingConfig", "LabelMap", "LabelSet", "LossReport",
     "LossWeights", "MetricReport", "NumericError", "PartsToObjectsMapping",
     "ProbMap", "SceneSpec", "StructuringElement", "ToyNetConfig",
-    "Xorshift64Star", "adjacency_from_labels", "argmax_map", "concat_condition",
-    "confusion", "conv2d_backward", "conv2d_forward", "cross_entropy", "dilate",
-    "embed_objects", "generate", "generate_dataset", "gm_loss", "gm_loss_grad",
-    "init_toy_params", "load_labelset", "load_map", "load_params",
-    "load_probmap", "mean_gm_loss", "normalize_rows", "one_hot",
+    "Xorshift64Star", "adjacency_from_labels", "argmax_map", "confusion",
+    "conv2d_backward", "conv2d_forward", "cross_entropy", "dilate", "generate",
+    "generate_dataset", "gm_loss", "init_toy_params", "load_labelset", "load_map",
+    "load_params", "load_probmap", "mean_gm_loss", "normalize_rows", "one_hot",
     "project_labels", "reconstruction_loss", "report", "save_labelset",
     "save_map", "save_params", "save_ppm", "save_probmap", "soft_adjacency",
     "soft_dilate", "sum_probability", "total_loss", "toy_forward", "train_toy",

@@ -229,30 +229,27 @@ def gm_loss(reference: AdjacencyMatrix, predicted: AdjacencyMatrix) -> float:
     return float(np.linalg.norm(reference.entries - predicted.entries))
 
 
-def gm_loss_grad(pred: ProbMap, reference: AdjacencyMatrix,
-                 cfg: AdjacencyConfig) -> np.ndarray:
-    """Gradient of the graph-matching loss with respect to every probability entry.
+def _check_reference(reference: AdjacencyMatrix, channels: int) -> None:
+    if reference.kind != NORMALIZED:
+        raise DomainError("reference adjacency matrix must be normalized")
+    if reference.size != channels:
+        raise DomainError(
+            f"reference matrix is {reference.size} x {reference.size} but the "
+            f"prediction has {channels} channels"
+        )
+
+
+def gm_value_and_grad(probs: np.ndarray, reference: AdjacencyMatrix,
+                      cfg: AdjacencyConfig):
+    """(loss, gradient) of the graph-matching loss for an (H, W, C) probability array.
 
     Differentiates loss -> row normalization -> soft adjacency -> soft
     dilation. With ``smooth_max`` the chain is smooth; with ``hard_max`` the
     window-argmax subgradient is used. At a loss of exactly 0 the gradient is
     defined as the zero field.
     """
-    _, grad = gm_value_and_grad(pred.probs, reference, cfg)
-    return grad
-
-
-def gm_value_and_grad(probs: np.ndarray, reference: AdjacencyMatrix,
-                      cfg: AdjacencyConfig):
-    """(loss, gradient) of the graph-matching loss for an (H, W, C) probability array."""
-    if reference.kind != NORMALIZED:
-        raise DomainError("reference adjacency matrix must be normalized")
     h, w, c = probs.shape
-    if reference.size != c:
-        raise DomainError(
-            f"reference matrix is {reference.size} x {reference.size} but the "
-            f"prediction has {c} channels"
-        )
+    _check_reference(reference, c)
     raw, (dilated, caches, counts) = _soft_adjacency_forward(probs, cfg)
     norms = np.linalg.norm(raw, axis=1)
     normalized = _normalize_rows_array(raw)
@@ -288,7 +285,6 @@ def gm_value_and_grad(probs: np.ndarray, reference: AdjacencyMatrix,
 
 def gm_value(probs: np.ndarray, reference: AdjacencyMatrix, cfg: AdjacencyConfig) -> float:
     """Loss-only variant of :func:`gm_value_and_grad` (used by finite-difference checks)."""
-    if reference.kind != NORMALIZED:
-        raise DomainError("reference adjacency matrix must be normalized")
+    _check_reference(reference, probs.shape[2])
     raw, _ = _soft_adjacency_forward(probs, cfg)
     return float(np.linalg.norm(_normalize_rows_array(raw) - reference.entries))

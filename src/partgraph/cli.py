@@ -4,9 +4,12 @@ Subcommands: dilate, graph, loss, metrics, train-toy, synth. Results go to
 stdout (or ``--out``/``--trace`` files); diagnostics go to stderr. Exit
 codes: 0 success, 1 usage error, 2 data or format error, 3 numeric failure.
 
-Identical invocations produce byte-identical output. ``--threads`` is an
-upper bound on internal worker threads; the current implementation runs each
-command on a single thread, so the bound never changes results.
+Identical invocations produce byte-identical output. ``--threads`` is
+accepted and ignored: every command runs on one thread.
+
+JSON configs (``train-toy --config``, ``synth --spec``) set only the keys
+they name; every other value is the default of its config class. An unknown
+key or a wrongly typed value is a data error (exit 2).
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +68,71 @@ def _matrix_csv(entries: np.ndarray) -> str:
 
 
 # ---------------------------------------------------------------------------
+# JSON configs
+# ---------------------------------------------------------------------------
+
+_METHODS = {"dilate": "dilate_intersect", "exact": "exact_distance"}
+# JSON key -> field name, where a config accepts other keys than its field names
+_ADJACENCY_KEYS = {"T": "distance_threshold", "element": "element_shape",
+                   "weighting": "weighting", "soft_mode": "soft_mode", "beta": "beta"}
+_NET_KEYS = {"stages": "num_stages", "encoder_channels": "encoder_channels",
+             "decoder_channels": "decoder_channels", "conditioning": "conditioning",
+             "embedding": "embedding"}
+_SCALARS = {int: ("an integer", (int,)), float: ("a number", (int, float)),
+            str: ("a string", (str,)), bool: ("true or false", (bool,))}
+
+
+def _load_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DomainError(f"malformed {what} JSON in {path}: {exc}") from exc
+
+
+def _typed(value, hint, where: str):
+    """``value`` checked against the field type ``hint``; lists become tuples and
+    objects become nested configs."""
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, list):
+            item = typing.get_args(hint)[0]
+            return tuple(_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+        expected = "a list"
+    elif is_dataclass(hint):
+        if isinstance(value, dict):
+            return hint(**_config_fields(hint, value, where))
+        expected = "an object"
+    else:
+        expected, kinds = _SCALARS[hint]
+        if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
+            return value
+    raise DomainError(f"{where} must be {expected}, got {json.dumps(value)}")
+
+
+def _config_fields(cls, doc, where: str, keys: dict[str, str] | None = None,
+                   **flags) -> dict:
+    """Keyword arguments for the config dataclass ``cls``: the keys present in the
+    JSON object ``doc``, then every flag that is not None. Fields named by
+    neither keep the class default.
+
+    ``keys`` maps the accepted JSON keys to field names (default: every field
+    under its own name). An unknown key or a wrongly typed value is a
+    DomainError that names it.
+    """
+    if not isinstance(doc, dict):
+        raise DomainError(f"{where} must be an object, got {json.dumps(doc)}")
+    hints = typing.get_type_hints(cls)
+    keys = keys or {name: name for name in hints}
+    fields = {}
+    for key, value in doc.items():
+        if key not in keys:
+            raise DomainError(
+                f"unknown key {key!r} in {where}; expected one of {', '.join(sorted(keys))}")
+        fields[keys[key]] = _typed(value, hints[keys[key]], f"{where}.{key}")
+    fields.update((name, value) for name, value in flags.items() if value is not None)
+    return fields
+
+
+# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
@@ -76,17 +145,23 @@ def _cmd_dilate(args) -> int:
     return 0
 
 
-def _adjacency_config(args) -> AdjacencyConfig:
-    method = {"dilate": "dilate_intersect", "exact": "exact_distance"}[args.method]
-    return AdjacencyConfig(
-        distance_threshold=4 if args.T is None else args.T,
-        element_shape=args.element or "square",
-        method=method,
-        weighting="unweighted" if args.unweighted else "weighted",
-        include_background=not args.no_background,
-        soft_mode=args.soft_mode or "smooth_max",
-        beta=20.0 if args.beta is None else args.beta,
-    )
+def _adjacency_config(args, doc: dict | None = None) -> AdjacencyConfig:
+    """AdjacencyConfig from the train-toy JSON keys in ``doc`` and the flags given."""
+    return AdjacencyConfig(**_config_fields(
+        AdjacencyConfig, doc or {}, "config", _ADJACENCY_KEYS,
+        distance_threshold=args.T,
+        element_shape=args.element,
+        method=_METHODS.get(getattr(args, "method", None)),
+        weighting="unweighted" if args.unweighted else None,
+        include_background=False if getattr(args, "no_background", False) else None,
+        soft_mode=args.soft_mode,
+        beta=args.beta,
+    ))
+
+
+def _loss_weights(args, doc: dict | None = None) -> LossWeights:
+    return LossWeights(**_config_fields(LossWeights, doc or {}, "config",
+                                        lambda1=args.lambda1, lambda2=args.lambda2))
 
 
 def _cmd_graph(args) -> int:
@@ -110,8 +185,7 @@ def _cmd_loss(args) -> int:
     label_set = load_labelset(args.mapping)
     gt_objects = load_map(args.gt_objects) if args.gt_objects else None
     cfg = _adjacency_config(args)
-    weights = LossWeights(lambda1=1e-3 if args.lambda1 is None else args.lambda1,
-                          lambda2=0.1 if args.lambda2 is None else args.lambda2)
+    weights = _loss_weights(args)
     result, _ = total_loss(pred, gt_parts, gt_objects, label_set.mapping, cfg, weights)
     if not np.isfinite(result.total):
         raise NumericError(f"loss is not finite: {result}")
@@ -157,59 +231,32 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _load_train_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"malformed config JSON in {path}: {exc}") from exc
+def _cmd_train_toy(args) -> int:
+    doc = _load_json(args.config, "train-toy config") if args.config else {}
     if not isinstance(doc, dict):
         raise DomainError("train-toy config must be a JSON object")
-    return doc
+    run = {"steps": 200, "lr": 5e-3, "seed": 7, "train_scenes": 20, "heldout_scenes": 0}
+    weight_keys = ("lambda1", "lambda2")
+    known = {"scene", "net", *weight_keys, *_ADJACENCY_KEYS, *run}
+    for key in doc:
+        if key not in known:
+            raise DomainError(
+                f"unknown key {key!r} in config; expected one of {', '.join(sorted(known))}")
+        if key in run:
+            run[key] = _typed(doc[key], type(run[key]), f"config.{key}")
+    run.update((key, getattr(args, key)) for key in ("steps", "lr", "seed")
+               if getattr(args, key) is not None)
+    steps, lr, seed = run["steps"], run["lr"], run["seed"]
+    num_train, num_heldout = run["train_scenes"], run["heldout_scenes"]
 
-
-def _cmd_train_toy(args) -> int:
-    doc = _load_train_config(args.config)
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return doc.get(key, default)
-
-    scene_doc = {k: tuple(v) if isinstance(v, list) else v
-                 for k, v in doc.get("scene", {}).items()}
-    spec = SceneSpec(**scene_doc)
-    net_doc = dict(doc.get("net", {}))
-    if "embedding" in net_doc:
-        net_doc["embedding"] = EmbeddingConfig(**{
-            k: tuple(v) for k, v in net_doc["embedding"].items()})
-    net_kwargs = {
-        "num_stages": net_doc.get("stages", 2),
-        "encoder_channels": tuple(net_doc.get("encoder_channels", (8, 16))),
-        "decoder_channels": tuple(net_doc.get("decoder_channels", (16, 8))),
-        "conditioning": args.conditioning or net_doc.get("conditioning", "multi"),
-    }
-    if "embedding" in net_doc:
-        net_kwargs["embedding"] = net_doc["embedding"]
-    else:
-        net_kwargs["embedding"] = EmbeddingConfig.toy(net_kwargs["num_stages"])
-    net = ToyNetConfig(**net_kwargs)
-
-    cfg = AdjacencyConfig(
-        distance_threshold=pick(args.T, "T", 4),
-        element_shape=pick(args.element, "element", "square"),
-        weighting="unweighted" if args.unweighted else doc.get("weighting", "weighted"),
-        soft_mode=pick(args.soft_mode, "soft_mode", "smooth_max"),
-        beta=pick(args.beta, "beta", 20.0),
-    )
-    weights = LossWeights(lambda1=pick(args.lambda1, "lambda1", 1e-3),
-                          lambda2=pick(args.lambda2, "lambda2", 0.1))
-    steps = pick(args.steps, "steps", 200)
-    lr = pick(args.lr, "lr", 5e-3)
-    seed = pick(args.seed, "seed", 7)
-    num_train = doc.get("train_scenes", 20)
-    num_heldout = doc.get("heldout_scenes", 0)
+    spec = SceneSpec(**_config_fields(SceneSpec, doc.get("scene", {}), "scene"))
+    net_fields = _config_fields(ToyNetConfig, doc.get("net", {}), "net", _NET_KEYS,
+                                conditioning=args.conditioning)
+    net_fields.setdefault("embedding", EmbeddingConfig.toy(
+        net_fields.get("num_stages", ToyNetConfig.num_stages)))
+    net = ToyNetConfig(**net_fields)
+    cfg = _adjacency_config(args, {k: v for k, v in doc.items() if k in _ADJACENCY_KEYS})
+    weights = _loss_weights(args, {k: v for k, v in doc.items() if k in weight_keys})
 
     scenes, mapping = generate_dataset(spec, num_train + num_heldout)
     train_scenes, heldout = scenes[:num_train], scenes[num_train:]
@@ -239,17 +286,8 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.spec:
-        try:
-            doc = json.loads(Path(args.spec).read_text())
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"malformed scene spec JSON in {args.spec}: {exc}") from exc
-        doc = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-        spec = SceneSpec(**doc)
-    else:
-        spec = SceneSpec()
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+    doc = _load_json(args.spec, "scene spec") if args.spec else {}
+    spec = SceneSpec(**_config_fields(SceneSpec, doc, "scene spec", seed=args.seed))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -281,7 +319,7 @@ def build_parser() -> _Parser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="upper bound on worker threads (execution is single-threaded)")
+                        help="accepted and ignored (every command runs on one thread)")
 
     p = sub.add_parser("dilate", parents=[common], help="dilate the nonzero pixels of a label map")
     p.add_argument("--in", dest="infile", required=True)
@@ -293,7 +331,7 @@ def build_parser() -> _Parser:
     def add_graph_options(p):
         p.add_argument("--T", type=int, default=None, help="distance threshold in pixels")
         p.add_argument("--element", choices=["square", "diamond"], default=None)
-        p.add_argument("--method", choices=["dilate", "exact"], default="dilate")
+        p.add_argument("--method", choices=sorted(_METHODS), default=None)
         p.add_argument("--unweighted", action="store_true")
         p.add_argument("--no-background", action="store_true")
         p.add_argument("--soft-mode", dest="soft_mode",

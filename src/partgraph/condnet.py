@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjacency import AdjacencyConfig, adjacency_from_labels, gm_loss, normalize_rows, soft_adjacency
-from .core import LabelMap, PartsToObjectsMapping, ProbMap, one_hot
+from .core import PartsToObjectsMapping, ProbMap, one_hot
 from .errors import DomainError, NumericError
 from .losses import LossReport, LossWeights, total_loss
 from .rng import Xorshift64Star
@@ -247,17 +247,8 @@ def init_toy_params(net: ToyNetConfig, num_parts: int, num_objects: int,
 
 
 # ---------------------------------------------------------------------------
-# Embedding pyramid and conditioning
+# Embedding pyramid
 # ---------------------------------------------------------------------------
-
-def _pad_to_multiple(x: np.ndarray, multiple: int) -> np.ndarray:
-    _, h, w = x.shape
-    ph = (-h) % multiple
-    pw = (-w) % multiple
-    if ph == 0 and pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, ph), (0, pw)))
-
 
 def as_tensor(prob_map: ProbMap) -> np.ndarray:
     """(H, W, C) probability map as a (C, H, W) tensor."""
@@ -266,6 +257,13 @@ def as_tensor(prob_map: ProbMap) -> np.ndarray:
 
 def _embed_forward(x: np.ndarray, cfg: EmbeddingConfig, params: dict[str, np.ndarray],
                    num_levels: int):
+    """The first ``num_levels`` levels of the object-embedding pyramid of a (C, H, W) tensor.
+
+    Level i (1-based) is relu(conv(level i - 1)) with the kernel, stride and
+    channel count of embedding layer i, so with stride 2 it sits at 1/2**i of
+    the input resolution. Returns the levels and the per-layer (input,
+    pre-activation) pairs the backward pass needs.
+    """
     levels = []
     cache = []
     h = x
@@ -277,68 +275,6 @@ def _embed_forward(x: np.ndarray, cfg: EmbeddingConfig, params: dict[str, np.nda
         levels.append(out)
         h = out
     return levels, cache
-
-
-def embed_objects(object_probs: ProbMap, cfg: EmbeddingConfig,
-                  params: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Multi-resolution feature pyramid of an object-probability map.
-
-    Level i sits at 1/2**i of the (padded) input resolution with
-    ``cfg.channel_sizes[i-1]`` channels. Inputs whose spatial dims are not
-    divisible by 2**num_layers are zero-padded at the bottom/right first.
-    """
-    x = _pad_to_multiple(as_tensor(object_probs), 2 ** cfg.num_layers)
-    for i in range(1, cfg.num_layers + 1):
-        name = f"emb{i}.w"
-        if name not in params:
-            raise DomainError(f"missing embedding parameters: {name}")
-        if params[name].shape[1] != (object_probs.num_classes if i == 1 else cfg.channel_sizes[i - 2]):
-            raise DomainError(f"embedding layer {i} weights do not match the configuration")
-    levels, _ = _embed_forward(x, cfg, params, cfg.num_layers)
-    return levels
-
-
-def _center_crop(x: np.ndarray, target_hw: tuple[int, int]) -> np.ndarray:
-    th, tw = target_hw
-    _, h, w = x.shape
-    top = (h - th) // 2
-    left = (w - tw) // 2
-    return x[:, top : top + th, left : left + tw]
-
-
-def _fit_spatial(x: np.ndarray, target_hw: tuple[int, int]) -> np.ndarray:
-    """Nearest-neighbor upsample a smaller tensor, then center-crop to the target."""
-    th, tw = target_hw
-    _, h, w = x.shape
-    if (h, w) == (th, tw):
-        return x
-    if h <= th and w <= tw:
-        while x.shape[1] < th or x.shape[2] < tw:
-            x = upsample2(x)
-        return _center_crop(x, target_hw)
-    if h >= th and w >= tw:
-        return _center_crop(x, target_hw)
-    raise DomainError(
-        f"irreconcilable spatial mismatch: features are {h}x{w}, target is {th}x{tw}"
-    )
-
-
-def concat_condition(decoder_feat: np.ndarray, pyramid: list[np.ndarray], stage: int,
-                     conditioning: str = "multi") -> np.ndarray:
-    """Concatenate the conditioning features for a decoder stage, decoder channels first.
-
-    Stage i (1-based, 1 = deepest) consumes pyramid level ``len(pyramid) + 1 - i``.
-    The pyramid level is upsampled/cropped onto the decoder grid if needed.
-    """
-    if conditioning not in CONDITIONING_MODES:
-        raise DomainError(f"conditioning must be one of {CONDITIONING_MODES}")
-    k = len(pyramid)
-    if not 1 <= stage <= k:
-        raise DomainError(f"stage {stage} out of range for a {k}-level pyramid")
-    if conditioning == "off" or (conditioning == "single" and stage != 1):
-        return decoder_feat
-    level = _fit_spatial(pyramid[k - stage], decoder_feat.shape[1:])
-    return np.concatenate([decoder_feat, level], axis=0)
 
 
 # ---------------------------------------------------------------------------

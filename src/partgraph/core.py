@@ -232,6 +232,10 @@ def sum_probability(pred: ProbMap, mapping: PartsToObjectsMapping) -> ProbMap:
             f"prediction has {pred.num_classes} channels but mapping covers "
             f"{mapping.num_parts} parts"
         )
+    return ProbMap(_sum_probability_array(pred.probs, mapping))
+
+
+def _sum_probability_array(probs: np.ndarray, mapping: PartsToObjectsMapping) -> np.ndarray:
+    """Sum the part channels (last axis) of an array into its object channels."""
     starts = np.asarray(mapping.boundaries[:-1], dtype=np.intp)
-    summed = np.add.reduceat(pred.probs, starts, axis=2)
-    return ProbMap(summed)
+    return np.add.reduceat(probs, starts, axis=-1)

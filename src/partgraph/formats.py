@@ -19,6 +19,8 @@ two-byte big-endian encoding netpbm prescribes.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -34,7 +36,11 @@ FORMAT_VERSION = 1
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
+    """Read exactly ``n`` bytes. A regular file is never asked for more than it
+    still holds, so a size declared by a corrupt header allocates nothing."""
+    info = os.fstat(f.fileno())
+    left = max(info.st_size - f.tell(), 0) if stat.S_ISREG(info.st_mode) else n
+    data = f.read(min(n, left))
     if len(data) != n:
         raise DomainError(f"truncated file: expected {n} bytes for {what}, got {len(data)}")
     return data
@@ -239,8 +245,14 @@ def save_labelset(label_set: LabelSet, path: str | Path) -> None:
 def load_labelset(path: str | Path) -> LabelSet:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DomainError(f"malformed label-set JSON in {path}: {exc}") from exc
+    for key, kind, what in (("boundaries", int, "integers"), ("object_names", str, "strings"),
+                            ("part_names", str, "strings")):
+        value = doc.get(key) if isinstance(doc, dict) else None
+        if value is not None and not (isinstance(value, list) and all(
+                isinstance(v, kind) and not isinstance(v, bool) for v in value)):
+            raise DomainError(f"label-set {key} must be a list of {what}, got {value!r}")
     try:
         mapping = PartsToObjectsMapping(
             boundaries=tuple(doc["boundaries"]),

@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjacency import AdjacencyConfig, adjacency_from_labels, gm_value_and_grad, normalize_rows
-from .core import LabelMap, PartsToObjectsMapping, ProbMap, project_labels
+from .core import (
+    LabelMap,
+    PartsToObjectsMapping,
+    ProbMap,
+    _sum_probability_array,
+    project_labels,
+)
 from .errors import DomainError
 
 LOG_EPS = 1e-12
@@ -110,8 +116,7 @@ def reconstruction_loss(pred: ProbMap, gt_objects: LabelMap,
 
 def _reconstruction_raw(probs: np.ndarray, object_labels: np.ndarray,
                         mapping: PartsToObjectsMapping) -> tuple[float, np.ndarray]:
-    starts = np.asarray(mapping.boundaries[:-1], dtype=np.intp)
-    summed = np.add.reduceat(probs, starts, axis=2)
+    summed = _sum_probability_array(probs, mapping)
     loss, grad_summed = _cross_entropy_raw(summed, object_labels)
     grad = grad_summed[:, :, mapping.object_lookup()]
     return loss, grad

@@ -12,7 +12,6 @@ from partgraph import (
     adjacency_from_labels,
     argmax_map,
     gm_loss,
-    gm_loss_grad,
     normalize_rows,
     one_hot,
     soft_adjacency,
@@ -248,7 +247,8 @@ def test_gm_grad_zero_at_zero_loss():
     cfg = AdjacencyConfig(soft_mode="hard_max")
     p = one_hot(m, 3)
     _, reference = soft_adjacency(p, cfg)
-    grad = gm_loss_grad(p, reference, cfg)
+    loss, grad = gm_value_and_grad(p.probs, reference, cfg)
+    assert loss == 0.0
     assert not grad.any()
 
 
@@ -256,7 +256,15 @@ def test_gm_grad_requires_normalized_reference():
     p = ProbMap(np.full((4, 4, 2), 0.5))
     raw = AdjacencyMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
     with pytest.raises(DomainError):
-        gm_loss_grad(p, raw, AdjacencyConfig())
+        gm_value_and_grad(p.probs, raw, AdjacencyConfig())
+
+
+@pytest.mark.parametrize("entry", [gm_value, gm_value_and_grad])
+def test_gm_entries_reject_a_reference_of_the_wrong_size(entry):
+    probs = np.full((4, 4, 4), 0.25)
+    reference = normalize_rows(AdjacencyMatrix(np.ones((3, 3)) - np.eye(3)))
+    with pytest.raises(DomainError, match="3 x 3.*4 channels"):
+        entry(probs, reference, AdjacencyConfig())
 
 
 def test_frobenius_slope_against_prediction_matrix():

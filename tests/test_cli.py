@@ -1,6 +1,9 @@
 import json
+import re
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +20,25 @@ from partgraph import (
     save_map,
     save_probmap,
 )
+from partgraph.cli import _ADJACENCY_KEYS, _config_fields
 from partgraph.formats import load_segmap
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 
-def run_cli(*args):
+
+def run_cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "partgraph", *args],
-                          capture_output=True, text=False)
+                          capture_output=True, text=False, **kwargs)
+
+
+def assert_one_line_data_error(result, *needles):
+    assert result.returncode == 2
+    assert result.stdout == b""
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert "Traceback" not in lines[0]
+    for needle in needles:
+        assert needle in lines[0]
 
 
 def test_no_arguments_is_a_usage_error():
@@ -207,6 +223,81 @@ def test_train_toy_smoke(tmp_path):
     assert lines[0] == "step,ce,rec,gm,total"
     assert len(lines) == 4
     assert params_path.read_bytes()[:4] == b"TPRM"
+
+
+def test_readme_config_example_runs(tmp_path):
+    # the config documented in the README, with every key it lists
+    block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+    config = json.loads(block)
+    assert {"T", "element", "weighting", "soft_mode", "beta"} <= config.keys()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(block)
+    result = run_cli("train-toy", "--config", str(cfg_path), "--steps", "1")
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout)
+    assert summary["scenes"] == config["train_scenes"]
+    assert "heldout_gm" in summary
+
+
+@pytest.mark.parametrize("config,needles", [
+    ({"scene": {"bogus": 1}}, ["'bogus'", "scene"]),
+    ({"net": {"embedding": {"kernel_sizes": 3}}}, ["net.embedding.kernel_sizes", "list"]),
+    ({"bogus": 1}, ["'bogus'"]),
+    ({"steps": "3"}, ["config.steps", "integer"]),
+    ({"net": {"stages": 2.0}}, ["net.stages", "integer"]),
+    ({"T": True}, ["config.T", "integer"]),
+    ({"scene": {"parts_per_object": [2, "2"]}}, ["scene.parts_per_object[1]"]),
+    ([1, 2], ["JSON object"]),
+    (b"\xff{}", ["malformed"]),
+], ids=["scene-unknown", "kernel-sizes-scalar", "top-unknown", "steps-string", "stages-float",
+        "T-bool", "parts-item-string", "not-an-object", "not-utf8"])
+def test_train_toy_config_rejects_unknown_or_mistyped_keys(tmp_path, config, needles):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+    result = run_cli("train-toy", "--config", str(cfg_path), "--steps", "1")
+    assert_one_line_data_error(result, *needles)
+
+
+def test_config_fields_fill_only_the_keys_present_and_flags_win():
+    fields = _config_fields(AdjacencyConfig, {"T": 2, "element": "diamond", "beta": 3},
+                            "config", _ADJACENCY_KEYS, beta=5.0, soft_mode=None)
+    assert fields == {"distance_threshold": 2, "element_shape": "diamond", "beta": 5.0}
+    cfg = AdjacencyConfig(**fields)
+    assert cfg.weighting == AdjacencyConfig.weighting
+    assert cfg.soft_mode == AdjacencyConfig.soft_mode
+
+
+def test_synth_spec_rejects_unknown_keys(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"width": 16, "height": 16, "colour": 1}')
+    result = run_cli("synth", "--spec", str(spec), "--out-dir", str(tmp_path / "out"),
+                     "--count", "1")
+    assert_one_line_data_error(result, "'colour'")
+
+
+@pytest.mark.parametrize("labelset,needle", [(b'{"boundaries": ["a", 2]}', "boundaries"),
+                                             (b"\xff{}", "malformed")])
+def test_metrics_rejects_a_bad_labelset(tmp_path, scene_files, labelset, needle):
+    base, parts, _ = scene_files
+    (tmp_path / "bad.json").write_bytes(labelset)
+    result = run_cli("metrics", "--pred-dir", str(base), "--gt-dir", str(base),
+                     "--labelset", str(tmp_path / "bad.json"))
+    assert_one_line_data_error(result, needle)
+
+
+def _limit_address_space():
+    import resource
+    # should the size check regress, the 20 GB read fails fast here
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+def test_segm_header_declaring_more_than_the_file_holds(tmp_path):
+    path = tmp_path / "big.segmap"
+    path.write_bytes(b"SEGM" + struct.pack("<BIII", 1, 100000, 100000, 3) + bytes(9))
+    assert path.stat().st_size == 26
+    result = run_cli("graph", "--in", str(path), "--parts", "3",
+                     preexec_fn=_limit_address_space, timeout=60)
+    assert_one_line_data_error(result, "truncated", "20000000000")
 
 
 @pytest.mark.parametrize("threads", ["1", "8"])

@@ -11,10 +11,8 @@ from partgraph import (
     PartsToObjectsMapping,
     ProbMap,
     ToyNetConfig,
-    concat_condition,
     conv2d_backward,
     conv2d_forward,
-    embed_objects,
     init_toy_params,
     one_hot,
     project_labels,
@@ -22,7 +20,9 @@ from partgraph import (
     train_toy,
 )
 from partgraph.condnet import (
+    _embed_forward,
     _toy_forward_cached,
+    as_tensor,
     softmax_channels,
     toy_backward,
     upsample2,
@@ -124,7 +124,7 @@ def test_embedding_pyramid_shapes():
     params = init_toy_params(
         ToyNetConfig(num_stages=4, encoder_channels=(4, 4, 4, 4),
                      decoder_channels=(4, 4, 4, 4), embedding=cfg), 5, 1)
-    pyramid = embed_objects(probs, cfg, params)
+    pyramid, _ = _embed_forward(as_tensor(probs), cfg, params, cfg.num_layers)
     assert [t.shape for t in pyramid] == [(8, 8, 8), (16, 4, 4), (32, 2, 2), (64, 1, 1)]
 
 
@@ -135,7 +135,7 @@ def test_embedding_zero_input_zero_biases_gives_zero_pyramid():
     probs = ProbMap(np.stack([np.ones((8, 8)), np.zeros((8, 8))], axis=2))
     params = init_toy_params(small_net(), 5, 2)
     params["emb1.w"] = np.zeros_like(params["emb1.w"])
-    pyramid = embed_objects(probs, cfg, params)
+    pyramid, _ = _embed_forward(as_tensor(probs), cfg, params, cfg.num_layers)
     for level in pyramid:
         assert not level.any()
 
@@ -147,7 +147,7 @@ def test_embedding_matches_direct_composition():
     probs /= probs.sum(axis=2, keepdims=True)
     pm = ProbMap(probs)
     params = init_toy_params(small_net(), 5, 2)
-    pyramid = embed_objects(pm, cfg, params)
+    pyramid, _ = _embed_forward(as_tensor(pm), cfg, params, cfg.num_layers)
     x = np.moveaxis(probs, 2, 0)
     s1 = np.maximum(conv2d_forward(x, params["emb1.w"], params["emb1.b"], stride=2), 0.0)
     s2 = np.maximum(conv2d_forward(s1, params["emb2.w"], params["emb2.b"], stride=2), 0.0)
@@ -155,66 +155,69 @@ def test_embedding_matches_direct_composition():
     assert np.array_equal(pyramid[1], s2)
 
 
-def test_embedding_pads_odd_inputs():
-    cfg = EmbeddingConfig.toy(2)
-    probs = ProbMap(np.ones((10, 10, 1)))
-    params = init_toy_params(
-        ToyNetConfig(num_stages=2, encoder_channels=(4, 4), decoder_channels=(4, 4),
-                     embedding=cfg), 5, 1)
-    pyramid = embed_objects(probs, cfg, params)
-    assert [t.shape[1:] for t in pyramid] == [(6, 6), (3, 3)]  # padded up to 12
+def decoder_stages(net, size=8, seed=12):
+    """Forward one random scene; return the cache and each decoder stage's output.
+
+    A stage's output is what the next stage (or the head) consumes before its
+    nearest-neighbour upsample, so every second pixel recovers it exactly.
+    """
+    rng = np.random.default_rng(seed)
+    params = init_toy_params(net, 5, 3)
+    x, _, objects = random_scene(rng, size, size)
+    _, cache = _toy_forward_cached(x, one_hot(objects, 3), net, params)
+    inputs = [h for h, _, _, _ in cache["dec"][1:]] + [cache["head_in"]]
+    return cache, [h[:, ::2, ::2] for h in inputs]
 
 
 def test_concat_condition_channel_order():
-    dec = np.full((4, 8, 8), 1.0)
-    pyr = [np.full((6, 8, 8), 2.0)]
-    out = concat_condition(dec, pyr, stage=1)
-    assert out.shape == (10, 8, 8)
-    assert np.array_equal(out[:4], dec)
-    assert np.array_equal(out[4:], pyr[0])
+    net = small_net()
+    cache, outputs = decoder_stages(net)
+    k = net.num_stages
+    for i, out in enumerate(outputs, start=1):
+        _, z, own, _ = cache["dec"][i - 1]
+        assert own == net.decoder_channels[i - 1]
+        assert out.shape[0] == own + net.embedding.channel_sizes[k - i]
+        assert np.array_equal(out[:own], np.maximum(z, 0.0))
+        assert np.array_equal(out[own:], cache["pyramid"][k - i])
 
 
 def test_concat_condition_off_is_identity():
-    dec = np.ones((4, 8, 8))
-    pyr = [np.ones((6, 8, 8))]
-    out = concat_condition(dec, pyr, stage=1, conditioning="off")
-    assert out is dec
+    net = small_net(conditioning="off")
+    cache, outputs = decoder_stages(net)
+    assert cache["pyramid"] == []
+    for (_, z, own, _), out in zip(cache["dec"], outputs):
+        assert out.shape[0] == own
+        assert np.array_equal(out, np.maximum(z, 0.0))
 
 
 def test_concat_condition_wiring_over_all_stages():
-    # pyramid level j (1-based) is filled with the value j; stage i must pick
-    # up level k+1-i
+    # stage i (1 = deepest) must pick up pyramid level k + 1 - i, which is the
+    # only level at its resolution
     k = 3
-    h = 16
-    pyramid = [np.full((2, h >> (j + 1), h >> (j + 1)), float(j + 1)) for j in range(k)]
-    for stage in range(1, k + 1):
-        size = h >> (k + 1 - stage)
-        dec = np.zeros((3, size, size))
-        out = concat_condition(dec, pyramid, stage=stage)
-        assert out.shape[0] == 5
-        assert np.all(out[3:] == float(k + 1 - stage))
+    net = ToyNetConfig(num_stages=k, encoder_channels=(4, 4, 4), decoder_channels=(3, 3, 3),
+                       embedding=EmbeddingConfig.toy(k))
+    cache, outputs = decoder_stages(net, size=16)
+    for stage, out in enumerate(outputs, start=1):
+        level = cache["pyramid"][k - stage]
+        assert out.shape == (3 + level.shape[0], 16 >> (k + 1 - stage), 16 >> (k + 1 - stage))
+        assert np.array_equal(out[3:], level)
 
 
 def test_concat_condition_single_mode():
-    k = 2
-    pyramid = [np.full((2, 8, 8), 1.0), np.full((2, 4, 4), 2.0)]
-    deep = concat_condition(np.zeros((3, 4, 4)), pyramid, stage=1, conditioning="single")
-    assert deep.shape[0] == 5
-    shallow = concat_condition(np.zeros((3, 8, 8)), pyramid, stage=2, conditioning="single")
-    assert shallow.shape[0] == 3
+    net = small_net(conditioning="single")
+    _, (deep, shallow) = decoder_stages(net)
+    assert deep.shape[0] == net.decoder_channels[0] + net.embedding.channel_sizes[1]
+    assert shallow.shape[0] == net.decoder_channels[1]
 
 
-def test_concat_condition_spatial_adjustment():
-    dec = np.zeros((2, 8, 8))
-    small = [np.arange(2 * 4 * 4, dtype=float).reshape(2, 4, 4)]
-    out = concat_condition(dec, small, stage=1)
-    assert out.shape == (4, 8, 8)
-    assert np.array_equal(out[2:], upsample2(small[0]))
-    big = [np.ones((2, 16, 16))]
-    out = concat_condition(dec, big, stage=1)
-    assert out.shape == (4, 8, 8)
-    with pytest.raises(DomainError, match="irreconcilable"):
-        concat_condition(dec, [np.ones((2, 4, 16))], stage=1)
+def test_concat_condition_rejects_spatial_mismatch():
+    # a stride-1 second embedding layer leaves the deepest level at 4x4,
+    # while the deepest decoder stage of an 8x8 input works at 2x2
+    net = ToyNetConfig(num_stages=2, encoder_channels=(4, 6), decoder_channels=(6, 4),
+                       embedding=EmbeddingConfig((7, 5), (2, 1), (8, 16)))
+    params = init_toy_params(net, 5, 3)
+    with pytest.raises(DomainError, match="decoder stage 1.*conditioning level"):
+        toy_forward(np.zeros((3, 8, 8)), ProbMap(np.full((8, 8, 3), 1.0 / 3.0)), net, params)
 
 
 def test_toy_forward_output_is_probability_map():

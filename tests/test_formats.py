@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +167,22 @@ def test_labelset_inconsistent_counts(tmp_path):
         load_labelset(path)
 
 
+@pytest.mark.parametrize("fields,message", [
+    ('"boundaries": ["a", 2]', "boundaries must be a list of integers"),
+    ('"boundaries": [0, 1.5]', "boundaries must be a list of integers"),
+    ('"boundaries": [true, 2]', "boundaries must be a list of integers"),
+    ('"boundaries": "013"', "boundaries must be a list of integers"),
+    ('"boundaries": 7', "boundaries must be a list of integers"),
+    ('"boundaries": [0, 1, 3], "part_names": "abc"', "part_names must be a list of strings"),
+    ('"boundaries": [0, 1, 3], "object_names": ["bg", 1]', "object_names must be a list of strings"),
+])
+def test_labelset_fields_must_have_their_json_types(tmp_path, fields, message):
+    path = tmp_path / "ls.json"
+    path.write_text("{%s}" % fields)
+    with pytest.raises(DomainError, match=message):
+        load_labelset(path)
+
+
 def test_params_round_trip(tmp_path):
     rng = np.random.default_rng(10)
     params = {
@@ -192,3 +211,27 @@ def test_ppm_dump(tmp_path):
 
     save_label_ppm(LabelMap(np.array([[0, 1], [2, 3]]), num_classes=4), tmp_path / "l.ppm")
     assert (tmp_path / "l.ppm").read_bytes().startswith(b"P6\n2 2\n255\n")
+
+
+# each header declares a 64 MiB payload that the file does not hold
+OVERSIZE_HEADERS = {
+    "segmap": (load_segmap, b"SEGM" + struct.pack("<BIII", 1, 4096, 8192, 3)),
+    "probmap": (load_probmap, b"PROB" + struct.pack("<BIII", 1, 4096, 4096, 1)),
+    "tprm": (load_params, b"TPRM" + struct.pack("<BI", 1, 1) + struct.pack("<H", 1) + b"w"
+             + struct.pack("<B", 2) + struct.pack("<2I", 4096, 4096)),
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(OVERSIZE_HEADERS))
+def test_declared_payload_larger_than_the_file_allocates_nothing(tmp_path, suffix):
+    loader, header = OVERSIZE_HEADERS[suffix]
+    path = tmp_path / f"big.{suffix}"
+    path.write_bytes(header + bytes(9))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="truncated file"):
+            loader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
