@@ -1,7 +1,7 @@
 """Part-adjacency graphs and the graph-matching loss.
 
 Generates a synthetic scene with a known part chain, builds the weighted
-adjacency matrix two ways, normalizes it into proximity ratios, and shows
+adjacency matrix, normalizes it into proximity ratios, and shows
 how the graph-matching loss reacts when a prediction breaks the chain.
 """
 
@@ -26,12 +26,6 @@ def main():
     cfg = pg.AdjacencyConfig(distance_threshold=4)
     raw = pg.adjacency_from_labels(parts, spec.num_parts, cfg)
     print_matrix("dilation-intersection counts (T=4, radius 2)", raw.entries)
-
-    exact = pg.adjacency_from_labels(
-        parts, spec.num_parts,
-        pg.AdjacencyConfig(distance_threshold=4, method="exact_distance"))
-    print_matrix("exact distance-threshold counts (cross-check; asymmetric)",
-                 exact.entries)
     print("band 1 and band 3 are not adjacent:", raw.entries[1, 3] == 0.0)
 
     reference = pg.normalize_rows(raw)

@@ -8,17 +8,10 @@ are then L2-normalized into proximity ratios, and the graph-matching loss is
 the Frobenius distance between the reference and predicted normalized
 matrices.
 
-Two raw-count constructions are provided:
-
-- ``dilate_intersect`` (the default): entry (i, j) counts pixels lying in
-  both dilated masks, with dilation radius ceil(T / 2). Symmetric.
-- ``exact_distance``: entry (i, j) counts pixels of part i within distance
-  <= T of some pixel of part j, where the metric follows the element shape
-  (Chebyshev for square, Manhattan for diamond). Kept as a cross-check; not
-  symmetric in general.
-
 The prediction-side path is differentiable: part masks are replaced by
 soft-dilated probability channels and the count becomes a sum of products.
+On a one-hot prediction with hard-max dilation it equals the discrete
+counts, so a perfect prediction scores exactly 0.
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from .morphology import (
     soft_dilate_forward,
 )
 
-METHODS = ("dilate_intersect", "exact_distance")
 WEIGHTINGS = ("weighted", "unweighted")
 
 RAW_COUNTS = "raw_counts"
@@ -100,7 +92,6 @@ class AdjacencyConfig:
 
     distance_threshold: int = 4
     element_shape: str = "square"
-    method: str = "dilate_intersect"
     weighting: str = "weighted"
     include_background: bool = True
     soft_mode: str = "smooth_max"
@@ -109,8 +100,6 @@ class AdjacencyConfig:
     def __post_init__(self):
         if self.distance_threshold < 0:
             raise DomainError(f"distance threshold must be >= 0, got {self.distance_threshold}")
-        if self.method not in METHODS:
-            raise DomainError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.weighting not in WEIGHTINGS:
             raise DomainError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
         check_beta(self.beta)
@@ -154,23 +143,13 @@ def adjacency_from_labels(label_map: LabelMap, num_parts: int,
         present = [p for p in present if p != 0]
 
     raw = np.zeros((num_parts, num_parts), dtype=np.float64)
-    if cfg.method == "dilate_intersect":
-        elem = cfg.element
-        dilated = {p: dilate_array(labels == p, elem) for p in present}
-        for a_idx, i in enumerate(present):
-            for j in present[a_idx + 1:]:
-                count = float(np.count_nonzero(dilated[i] & dilated[j]))
-                raw[i, j] = count
-                raw[j, i] = count
-    else:
-        reach = StructuringElement(cfg.element_shape, cfg.distance_threshold)
-        masks = {p: labels == p for p in present}
-        near = {p: dilate_array(masks[p], reach) for p in present}
-        for i in present:
-            for j in present:
-                if i != j:
-                    # pixels of part i within distance <= T of some pixel of part j
-                    raw[i, j] = float(np.count_nonzero(masks[i] & near[j]))
+    elem = cfg.element
+    dilated = {p: dilate_array(labels == p, elem) for p in present}
+    for a_idx, i in enumerate(present):
+        for j in present[a_idx + 1:]:
+            count = float(np.count_nonzero(dilated[i] & dilated[j]))
+            raw[i, j] = count
+            raw[j, i] = count
 
     return AdjacencyMatrix(_apply_weighting(raw, cfg.weighting), RAW_COUNTS)
 
@@ -193,8 +172,8 @@ def soft_adjacency(pred: ProbMap, cfg: AdjacencyConfig):
 
     Returns (raw, normalized) matrices. Raw entry (i, j), i != j, is the sum
     over pixels of the product of the soft-dilated channels i and j. On a
-    one-hot input with hard_max this reproduces the discrete
-    ``dilate_intersect`` counts of the argmax map exactly.
+    one-hot input with hard_max this reproduces the discrete counts of the
+    argmax map exactly.
     """
     raw, _ = _soft_adjacency_forward(pred.probs, cfg)
     raw_m = AdjacencyMatrix(raw, RAW_COUNTS)

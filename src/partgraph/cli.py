@@ -2,7 +2,8 @@
 
 Subcommands: dilate, graph, loss, metrics, train-toy, synth. Results go to
 stdout (or ``--out``/``--trace`` files); diagnostics go to stderr. Exit
-codes: 0 success, 1 usage error, 2 data or format error, 3 numeric failure.
+codes: 0 success, 1 usage error, 2 data or format error (an input too
+large for memory included), 3 numeric failure.
 
 Identical invocations produce byte-identical output. ``--threads`` is
 accepted and ignored: every command runs on one thread.
@@ -71,7 +72,6 @@ def _matrix_csv(entries: np.ndarray) -> str:
 # JSON configs
 # ---------------------------------------------------------------------------
 
-_METHODS = {"dilate": "dilate_intersect", "exact": "exact_distance"}
 # JSON key -> field name, where a config accepts other keys than its field names
 _ADJACENCY_KEYS = {"T": "distance_threshold", "element": "element_shape",
                    "weighting": "weighting", "soft_mode": "soft_mode", "beta": "beta"}
@@ -151,7 +151,6 @@ def _adjacency_config(args, doc: dict | None = None) -> AdjacencyConfig:
         AdjacencyConfig, doc or {}, "config", _ADJACENCY_KEYS,
         distance_threshold=args.T,
         element_shape=args.element,
-        method=_METHODS.get(getattr(args, "method", None)),
         weighting="unweighted" if args.unweighted else None,
         include_background=False if getattr(args, "no_background", False) else None,
         soft_mode=args.soft_mode,
@@ -331,7 +330,6 @@ def build_parser() -> _Parser:
     def add_graph_options(p):
         p.add_argument("--T", type=int, default=None, help="distance threshold in pixels")
         p.add_argument("--element", choices=["square", "diamond"], default=None)
-        p.add_argument("--method", choices=sorted(_METHODS), default=None)
         p.add_argument("--unweighted", action="store_true")
         p.add_argument("--no-background", action="store_true")
         p.add_argument("--soft-mode", dest="soft_mode",
@@ -407,15 +405,12 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except DomainError as exc:
-        sys.stderr.write(f"partgraph {args.command}: {exc}\n")
+    except (DomainError, OSError, MemoryError) as exc:
+        sys.stderr.write(f"partgraph {args.command}: {str(exc) or 'out of memory'}\n")
         return 2
     except NumericError as exc:
         sys.stderr.write(f"partgraph {args.command}: {exc}\n")
         return 3
-    except OSError as exc:
-        sys.stderr.write(f"partgraph {args.command}: {exc}\n")
-        return 2
 
 
 if __name__ == "__main__":

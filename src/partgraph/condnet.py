@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjacency import AdjacencyConfig, adjacency_from_labels, gm_loss, normalize_rows, soft_adjacency
+from .adjacency import AdjacencyConfig, adjacency_from_labels, gm_value, normalize_rows
 from .core import PartsToObjectsMapping, ProbMap, one_hot
 from .errors import DomainError, NumericError
 from .losses import LossReport, LossWeights, total_loss
@@ -465,6 +465,5 @@ def mean_gm_loss(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
         obj_probs = one_hot(objects, mapping.num_objects)
         pred = toy_forward(rgb, obj_probs, net, params)
         reference = normalize_rows(adjacency_from_labels(parts, mapping.num_parts, adj_cfg))
-        _, predicted = soft_adjacency(pred, adj_cfg)
-        total += gm_loss(reference, predicted)
+        total += gm_value(pred.probs, reference, adj_cfg)
     return total / len(scenes)

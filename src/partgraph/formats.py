@@ -1,5 +1,5 @@
 """File formats: SEGM label maps, PGM import/export, PROB probability maps,
-TPRM parameter blobs, label-set JSON, and debug PPM dumps.
+TPRM parameter blobs, label-set JSON, and PPM image dumps.
 
 Binary layouts (all integers little-endian unless noted):
 
@@ -327,31 +327,3 @@ def save_ppm(rgb: np.ndarray, path: str | Path) -> None:
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(np.moveaxis(quantized, 0, 2).tobytes())
-
-
-def label_palette(num_classes: int) -> np.ndarray:
-    """Deterministic (num_classes, 3) color table for debug rendering.
-
-    Class 0 is black; other hues walk the golden-angle sequence.
-    """
-    colors = np.zeros((num_classes, 3), dtype=np.float64)
-    for c in range(1, num_classes):
-        hue = (c * 0.61803398875) % 1.0
-        colors[c] = _hsv_to_rgb(hue, 0.65, 0.95)
-    return colors
-
-
-def _hsv_to_rgb(h: float, s: float, v: float) -> np.ndarray:
-    i = int(h * 6.0) % 6
-    f = h * 6.0 - int(h * 6.0)
-    p, q, t = v * (1 - s), v * (1 - f * s), v * (1 - (1 - f) * s)
-    rgb = [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)][i]
-    return np.array(rgb)
-
-
-def save_label_ppm(label_map: LabelMap, path: str | Path) -> None:
-    """Render a label map with the debug palette and write it as P6 PPM."""
-    num_classes = label_map.num_classes or int(label_map.labels.max()) + 1
-    colors = label_palette(num_classes)
-    rgb = np.moveaxis(colors[label_map.labels], 2, 0)
-    save_ppm(rgb, path)

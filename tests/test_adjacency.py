@@ -17,6 +17,7 @@ from partgraph import (
     soft_adjacency,
 )
 from partgraph.adjacency import gm_value, gm_value_and_grad
+from partgraph.morphology import StructuringElement, dilate_array
 
 from oracles import (
     dilate_intersect_oracle,
@@ -50,7 +51,7 @@ def test_config_invariants():
     with pytest.raises(DomainError):
         AdjacencyConfig(distance_threshold=-1)
     with pytest.raises(DomainError):
-        AdjacencyConfig(method="nearest")
+        AdjacencyConfig(weighting="sparse")
 
 
 def test_config_rejects_beta_outside_the_fixed_shift_range():
@@ -62,9 +63,8 @@ def test_config_rejects_beta_outside_the_fixed_shift_range():
 
 def test_single_part_gives_zero_matrix():
     m = LabelMap(np.full((6, 6), 2, dtype=np.int32), num_classes=4)
-    for method in ("dilate_intersect", "exact_distance"):
-        out = adjacency_from_labels(m, 4, AdjacencyConfig(method=method))
-        assert not out.entries.any()
+    assert not adjacency_from_labels(m, 4, AdjacencyConfig()).entries.any()
+    assert not exact_distance_oracle(m.labels, 4, "square", 4).any()
 
 
 def test_two_block_example():
@@ -75,10 +75,9 @@ def test_two_block_example():
     assert di.entries[1, 2] == 8.0
     assert di.entries[2, 1] == 8.0
     assert di.entries[0].sum() == 0.0
-    ex = adjacency_from_labels(m, 3, AdjacencyConfig(distance_threshold=4,
-                                                     method="exact_distance"))
-    assert ex.entries[1, 2] > 0
-    assert ex.entries[1, 2] == ex.entries[2, 1]
+    ex = exact_distance_oracle(m.labels, 3, "square", 4)
+    assert ex[1, 2] > 0
+    assert ex[1, 2] == ex[2, 1]
 
 
 def test_separated_parts_are_not_adjacent():
@@ -86,10 +85,12 @@ def test_separated_parts_are_not_adjacent():
     labels[0:2, 0:2] = 1
     labels[9:11, 9:11] = 2  # over 4 background pixels away on both axes
     m = LabelMap(labels, num_classes=3)
-    cfg = AdjacencyConfig(distance_threshold=4, method="exact_distance")
-    out = adjacency_from_labels(m, 3, cfg)
-    assert out.entries[1, 2] == 0.0
-    assert out.entries[2, 1] == 0.0
+    out = adjacency_from_labels(m, 3, AdjacencyConfig(distance_threshold=4)).entries
+    assert out[1, 2] == 0.0
+    assert out[2, 1] == 0.0
+    exact = exact_distance_oracle(labels, 3, "square", 4)
+    assert exact[1, 2] == 0.0
+    assert exact[2, 1] == 0.0
 
 
 @pytest.mark.parametrize("shape", ["square", "diamond"])
@@ -104,13 +105,17 @@ def test_dilate_intersect_matches_pixel_pair_oracle(shape):
 
 
 def test_exact_distance_matches_pixel_pair_oracle():
+    # the pixels of part i within distance T of part j are part i's mask AND
+    # part j's mask dilated by T; the pixel-pair scan the synth tests rely on
+    # must agree with that
     rng = np.random.default_rng(4)
-    cfg = AdjacencyConfig(distance_threshold=3, method="exact_distance")
-    for _ in range(3):
-        m = random_label_map(rng, 9, 9, 4)
-        got = adjacency_from_labels(m, 4, cfg).entries
-        want = exact_distance_oracle(m.labels, 4, "square", 3)
-        assert np.array_equal(got, want)
+    for shape in ("square", "diamond"):
+        for _ in range(3):
+            m = random_label_map(rng, 9, 9, 4)
+            near = [dilate_array(m.labels == j, StructuringElement(shape, 3)) for j in range(4)]
+            got = np.array([[np.count_nonzero((m.labels == i) & near[j]) if i != j else 0
+                             for j in range(4)] for i in range(4)])
+            assert np.array_equal(got, exact_distance_oracle(m.labels, 4, shape, 3))
 
 
 def test_raw_counts_are_symmetric_integers_for_dilate_intersect():
@@ -124,11 +129,16 @@ def test_raw_counts_are_symmetric_integers_for_dilate_intersect():
 def test_counts_monotone_in_threshold():
     rng = np.random.default_rng(6)
     m = random_label_map(rng, 12, 12, 5)
-    for method in ("dilate_intersect", "exact_distance"):
+    def dilate_intersect(t):
+        return adjacency_from_labels(m, 5, AdjacencyConfig(distance_threshold=t)).entries
+
+    def exact_distance(t):
+        return exact_distance_oracle(m.labels, 5, "square", t)
+
+    for build in (dilate_intersect, exact_distance):
         prev = None
         for t in (0, 1, 2, 4, 6):
-            cur = adjacency_from_labels(m, 5, AdjacencyConfig(distance_threshold=t,
-                                                              method=method)).entries
+            cur = build(t)
             if prev is not None:
                 assert np.all(cur >= prev)
             prev = cur
@@ -175,14 +185,22 @@ def test_normalize_rows_random_norms():
         normalize_rows(n)  # already normalized
 
 
-def test_soft_adjacency_one_hot_matches_discrete_path():
+@pytest.mark.parametrize("threshold", [0, 3, 4])
+@pytest.mark.parametrize("include_background", [True, False])
+@pytest.mark.parametrize("weighting", ["weighted", "unweighted"])
+@pytest.mark.parametrize("shape", ["square", "diamond"])
+def test_soft_adjacency_one_hot_matches_discrete_path(shape, weighting, include_background,
+                                                      threshold):
+    # 19 classes span three soft-dilation blocks
     rng = np.random.default_rng(10)
-    cfg = AdjacencyConfig(distance_threshold=4, soft_mode="hard_max")
-    for _ in range(5):
-        m = random_label_map(rng, 9, 9, 5)
-        p = one_hot(m, 5)
+    cfg = AdjacencyConfig(distance_threshold=threshold, element_shape=shape,
+                          weighting=weighting, include_background=include_background,
+                          soft_mode="hard_max")
+    for _ in range(3):
+        m = random_label_map(rng, 11, 10, 19)
+        p = one_hot(m, 19)
         raw, norm = soft_adjacency(p, cfg)
-        discrete = adjacency_from_labels(argmax_map(p), 5, cfg)
+        discrete = adjacency_from_labels(argmax_map(p), 19, cfg)
         assert np.array_equal(raw.entries, discrete.entries)
         assert np.array_equal(norm.entries, normalize_rows(discrete).entries)
 

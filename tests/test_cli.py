@@ -106,7 +106,7 @@ def test_dilate_radius_beyond_the_image_costs_what_the_image_costs(tmp_path, sce
 def test_graph_command_matches_library(scene_files):
     base, parts, _ = scene_files
     result = run_cli("graph", "--in", str(base / "parts.segmap"), "--parts", "3",
-                     "--T", "4", "--method", "dilate")
+                     "--T", "4")
     assert result.returncode == 0, result.stderr
     rows = [line.split(",") for line in result.stdout.decode().strip().splitlines()]
     got = np.array([[float(v) for v in row] for row in rows])
@@ -144,6 +144,20 @@ def test_loss_command_json(scene_files):
     assert doc["rec"] == 0.0
     assert doc["gm"] == 0.0
     assert doc["total"] == 0.0
+
+
+@pytest.mark.parametrize("option", [("--element", "diamond"), ("--unweighted",),
+                                    ("--no-background",)])
+def test_loss_of_the_ground_truth_one_hot_is_zero(scene_files, option):
+    # the reference and the prediction graph are built the same way under
+    # every graph option, so a perfect prediction scores exactly 0
+    base, _, _ = scene_files
+    result = run_cli("loss", "--pred", str(base / "pred.probmap"),
+                     "--gt", str(base / "parts.segmap"),
+                     "--mapping", str(base / "labelset.json"),
+                     "--soft-mode", "hard_max", *option)
+    assert result.returncode == 0, result.stderr
+    assert ["gm", "0"] in [line.split() for line in result.stdout.decode().splitlines()]
 
 
 def test_loss_size_mismatch_names_both_sizes(tmp_path, scene_files):
@@ -298,6 +312,20 @@ def test_segm_header_declaring_more_than_the_file_holds(tmp_path):
     result = run_cli("graph", "--in", str(path), "--parts", "3",
                      preexec_fn=_limit_address_space, timeout=60)
     assert_one_line_data_error(result, "truncated", "20000000000")
+
+
+@pytest.mark.parametrize("command", ["train-toy", "synth"])
+def test_canvas_too_large_for_memory_is_a_data_error(tmp_path, command):
+    scene = {"width": 200000, "height": 200000}
+    path = tmp_path / "config.json"
+    if command == "train-toy":
+        path.write_text(json.dumps({"scene": scene}))
+        argv = ("train-toy", "--config", str(path), "--steps", "1")
+    else:
+        path.write_text(json.dumps(scene))
+        argv = ("synth", "--spec", str(path), "--out-dir", str(tmp_path / "out"), "--count", "1")
+    result = run_cli(*argv, preexec_fn=_limit_address_space, timeout=60)
+    assert_one_line_data_error(result, "allocate")
 
 
 @pytest.mark.parametrize("threads", ["1", "8"])

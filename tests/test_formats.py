@@ -20,7 +20,7 @@ from partgraph import (
     save_ppm,
     save_probmap,
 )
-from partgraph.formats import load_pgm, load_segmap, save_label_ppm, save_pgm, save_segmap
+from partgraph.formats import load_pgm, load_segmap, save_pgm, save_segmap
 
 
 def test_segmap_round_trip_bit_identical(tmp_path):
@@ -208,9 +208,6 @@ def test_ppm_dump(tmp_path):
     data = path.read_bytes()
     assert data.startswith(b"P6\n2 2\n255\n")
     assert data[11:14] == b"\xff\x00\x00"
-
-    save_label_ppm(LabelMap(np.array([[0, 1], [2, 3]]), num_classes=4), tmp_path / "l.ppm")
-    assert (tmp_path / "l.ppm").read_bytes().startswith(b"P6\n2 2\n255\n")
 
 
 # each header declares a 64 MiB payload that the file does not hold

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from partgraph import (
-    AdjacencyConfig,
     DomainError,
     SceneSpec,
     Xorshift64Star,
-    adjacency_from_labels,
     generate,
     generate_dataset,
     project_labels,
 )
+
+from oracles import exact_distance_oracle
 
 
 def test_prng_is_stable():
@@ -71,8 +71,7 @@ def test_single_part_object_touches_only_background():
     spec = SceneSpec(width=16, height=16, num_objects=1, parts_per_object=(1,),
                      min_instance=4, seed=3)
     parts, _, mapping, _ = generate(spec)
-    cfg = AdjacencyConfig(distance_threshold=4, method="exact_distance")
-    adj = adjacency_from_labels(parts, 2, cfg).entries
+    adj = exact_distance_oracle(parts.labels, 2, "square", 4)
     assert adj[0, 1] > 0 and adj[1, 0] > 0
 
 
@@ -81,8 +80,7 @@ def test_stacked_bands_form_a_chain():
     spec = SceneSpec(width=24, height=32, num_objects=1, parts_per_object=(3,),
                      min_instance=4, seed=2)
     parts, _, mapping, _ = generate(spec)
-    cfg = AdjacencyConfig(distance_threshold=4, method="exact_distance")
-    adj = adjacency_from_labels(parts, 4, cfg).entries
+    adj = exact_distance_oracle(parts.labels, 4, "square", 4)
     assert adj[1, 2] > 0 and adj[2, 3] > 0
     assert adj[1, 3] == 0 and adj[3, 1] == 0
     for part in (1, 2, 3):
@@ -93,8 +91,7 @@ def test_nested_rings_form_a_chain():
     spec = SceneSpec(width=48, height=48, num_objects=1, parts_per_object=(3,),
                      min_instance=4, layout="nested_blobs", seed=4)
     parts, _, mapping, _ = generate(spec)
-    cfg = AdjacencyConfig(distance_threshold=2, method="exact_distance")
-    adj = adjacency_from_labels(parts, 4, cfg).entries
+    adj = exact_distance_oracle(parts.labels, 4, "square", 2)
     assert adj[1, 2] > 0 and adj[2, 3] > 0
     assert adj[1, 3] == 0
     assert adj[0, 1] > 0  # background touches the outer ring
