@@ -27,10 +27,11 @@ import numpy as np
 from . import __version__
 from .adjacency import AdjacencyConfig, adjacency_from_labels, normalize_rows
 from .condnet import EmbeddingConfig, ToyNetConfig, mean_gm_loss, train_toy
-from .core import LabelMap, LabelSet, one_hot
+from .core import LabelMap, LabelSet, argmax_map, one_hot
 from .errors import DomainError, NumericError
 from .formats import (
     FORMAT_VERSION,
+    PROB_MAGIC,
     load_labelset,
     load_map,
     load_probmap,
@@ -178,11 +179,23 @@ def _cmd_graph(args) -> int:
     return 0
 
 
+def _load_object_labels(path: str) -> LabelMap:
+    """A label map, or a one-hot PROB file (as ``synth`` writes) read as its argmax labels."""
+    with open(path, "rb") as f:
+        is_prob = f.read(len(PROB_MAGIC)) == PROB_MAGIC
+    if not is_prob:
+        return load_map(path)
+    objects = load_probmap(path)
+    if not np.all((objects.probs == 0.0) | (objects.probs == 1.0)):
+        raise DomainError(f"{path}: object probabilities are not one-hot")
+    return argmax_map(objects)
+
+
 def _cmd_loss(args) -> int:
     pred = load_probmap(args.pred)
     gt_parts = load_map(args.gt)
     label_set = load_labelset(args.mapping)
-    gt_objects = load_map(args.gt_objects) if args.gt_objects else None
+    gt_objects = _load_object_labels(args.gt_objects) if args.gt_objects else None
     cfg = _adjacency_config(args)
     weights = _loss_weights(args)
     result, _ = total_loss(pred, gt_parts, gt_objects, label_set.mapping, cfg, weights)

@@ -11,7 +11,9 @@ plus its gradient with respect to every probability entry.
   between parts of the same object is invisible to this term; only mass
   placed outside the true object is penalized.
 - ``total_loss``: cross-entropy plus lambda1 * reconstruction plus
-  lambda2 * graph-matching, with the combined gradient.
+  lambda2 * graph-matching, with the combined gradient. Its reference graph
+  (``reference_graph``) depends only on the part labels, so a caller that
+  reuses the same ground truth builds it once and passes it in.
 
 Pixel aggregation is the mean, so loss magnitudes are independent of image
 size. Probabilities are clamped below at LOG_EPS before the log.
@@ -23,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import AdjacencyConfig, adjacency_from_labels, gm_value_and_grad, normalize_rows
+from .adjacency import (
+    AdjacencyConfig,
+    AdjacencyMatrix,
+    adjacency_from_labels,
+    gm_value_and_grad,
+    normalize_rows,
+)
 from .core import (
     LabelMap,
     PartsToObjectsMapping,
@@ -122,15 +130,24 @@ def _reconstruction_raw(probs: np.ndarray, object_labels: np.ndarray,
     return loss, grad
 
 
+def reference_graph(gt_parts: LabelMap, num_parts: int,
+                    cfg: AdjacencyConfig) -> AdjacencyMatrix:
+    """The normalized reference adjacency graph of the discrete part labels."""
+    return normalize_rows(adjacency_from_labels(gt_parts, num_parts, cfg))
+
+
 def total_loss(pred: ProbMap, gt_parts: LabelMap, gt_objects: LabelMap | None,
                mapping: PartsToObjectsMapping, cfg: AdjacencyConfig,
-               weights: LossWeights) -> tuple[LossReport, np.ndarray]:
+               weights: LossWeights,
+               reference: AdjacencyMatrix | None = None) -> tuple[LossReport, np.ndarray]:
     """Full training objective and its gradient with respect to the probabilities.
 
     ``gt_objects`` may be supplied independently; when None it is projected
     from ``gt_parts`` through the mapping. The reference adjacency graph is
     built from the discrete part labels, the predicted one from the soft
-    probability channels per ``cfg``.
+    probability channels per ``cfg``. A caller that reuses the same ground
+    truth may pass ``reference``, the :func:`reference_graph` of ``gt_parts``,
+    built once; only its kind and size are checked.
     """
     if gt_objects is None:
         gt_objects = project_labels(gt_parts, mapping)
@@ -143,7 +160,8 @@ def total_loss(pred: ProbMap, gt_parts: LabelMap, gt_objects: LabelMap | None,
     except DomainError as exc:
         raise DomainError(f"reconstruction term: {exc}") from exc
     try:
-        reference = normalize_rows(adjacency_from_labels(gt_parts, mapping.num_parts, cfg))
+        if reference is None:
+            reference = reference_graph(gt_parts, mapping.num_parts, cfg)
         gm, grad_gm = gm_value_and_grad(pred.probs, reference, cfg)
     except DomainError as exc:
         raise DomainError(f"graph-matching term: {exc}") from exc

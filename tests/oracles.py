@@ -2,12 +2,18 @@
 
 Everything here is written directly from the definitions (pixel-pair
 distance scans, per-pixel loops, flat sums) and deliberately shares no code
-with the package's vectorized implementations.
+with the package's vectorized implementations. The training oracle is the
+exception: it is the per-scene loop that the blocked training engine
+replaced, built on the package's single-scene entry points.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from partgraph import ProbMap, init_toy_params, one_hot
+from partgraph.condnet import _toy_forward_cached, toy_backward
+from partgraph.losses import LossReport, total_loss
 
 
 def pixel_distance(dy: int, dx: int, shape: str) -> int:
@@ -231,3 +237,38 @@ def soft_dilate_backward_oracle(grad_out: np.ndarray, cache) -> np.ndarray:
         sl_out, sl_in = _shift_slices(shape, dy, dx)
         grad_in[sl_in] += g[sl_out] * np.exp(beta * (x[sl_in] - peak[sl_out])) / expsum[sl_out]
     return grad_in
+
+
+def train_step_oracle(scenes, mapping, net, params, weights, adj_cfg):
+    """Per-term loss sums and parameter gradients summed over ``scenes``, one scene at a time.
+
+    Every scene runs alone through the network and rebuilds its reference
+    graph inside ``total_loss``.
+    """
+    sums = [0.0, 0.0, 0.0]
+    grad_acc = {name: np.zeros_like(p) for name, p in params.items()}
+    for rgb, parts, objects in scenes:
+        probs, cache = _toy_forward_cached(rgb, one_hot(objects, mapping.num_objects), net,
+                                           params)
+        report, grad_probs = total_loss(ProbMap(np.moveaxis(probs, 0, 2)), parts, objects,
+                                        mapping, adj_cfg, weights)
+        sums[0] += report.ce
+        sums[1] += report.rec
+        sums[2] += report.gm
+        for name, g in toy_backward(cache, np.moveaxis(grad_probs, 2, 0)).items():
+            grad_acc[name] += g
+    return sums, grad_acc
+
+
+def train_toy_oracle(scenes, mapping, net, weights, adj_cfg, steps, lr, seed=None):
+    """``train_toy`` as a per-scene loop: the same (params, trace), up to summation order."""
+    params = init_toy_params(net, mapping.num_parts, mapping.num_objects, seed=seed)
+    n = len(scenes)
+    trace = []
+    for t in range(steps):
+        sums, grad_acc = train_step_oracle(scenes, mapping, net, params, weights, adj_cfg)
+        trace.append(LossReport.combine(sums[0] / n, sums[1] / n, sums[2] / n, weights))
+        lr_t = lr * (1.0 - t / steps) ** 0.9
+        for name in params:
+            params[name] = params[name] - (lr_t / n) * grad_acc[name]
+    return params, trace

@@ -15,7 +15,9 @@ from partgraph import (
     PartsToObjectsMapping,
     ProbMap,
     adjacency_from_labels,
+    load_labelset,
     one_hot,
+    project_labels,
     save_labelset,
     save_map,
     save_probmap,
@@ -213,6 +215,38 @@ def test_synth_command_writes_triples(tmp_path):
     assert "scene_0000.ppm" in names
     assert (out_dir / "labelset.json").exists()
     assert load_segmap(out_dir / "scene_0001.parts.segmap").labels.any()
+
+
+def test_loss_reads_synth_objects_probmap(tmp_path):
+    # synth writes each scene's objects as a one-hot PROB file; loss reads it
+    # as its argmax labels, the same objects a SEGM file holds
+    out_dir = tmp_path / "scenes"
+    result = run_cli("synth", "--out-dir", str(out_dir), "--count", "1", "--seed", "3")
+    assert result.returncode == 0, result.stderr
+    parts = load_segmap(out_dir / "scene_0000.parts.segmap")
+    label_set = load_labelset(out_dir / "labelset.json")
+    save_map(project_labels(parts, label_set.mapping), tmp_path / "objects.segmap")
+    logits = np.random.default_rng(0).standard_normal(parts.labels.shape + (label_set.num_parts,))
+    save_probmap(ProbMap(np.exp(logits) / np.exp(logits).sum(axis=2, keepdims=True)),
+                 tmp_path / "pred.probmap")
+
+    def loss(objects):
+        return run_cli("loss", "--pred", str(tmp_path / "pred.probmap"),
+                       "--gt", str(out_dir / "scene_0000.parts.segmap"),
+                       "--gt-objects", str(objects), "--mapping", str(out_dir / "labelset.json"))
+
+    from_prob = loss(out_dir / "scene_0000.objects.probmap")
+    from_segm = loss(tmp_path / "objects.segmap")
+    assert from_prob.returncode == 0, from_prob.stderr
+    assert from_segm.returncode == 0, from_segm.stderr
+    rec = [line for line in from_prob.stdout.decode().splitlines() if line.startswith("rec")]
+    assert len(rec) == 1 and float(rec[0].split()[1]) > 0.0
+    assert from_prob.stdout == from_segm.stdout
+
+    h, w = parts.labels.shape
+    uniform = np.full((h, w, label_set.num_objects), 1.0 / label_set.num_objects)
+    save_probmap(ProbMap(uniform), tmp_path / "soft.probmap")
+    assert_one_line_data_error(loss(tmp_path / "soft.probmap"), "not one-hot")
 
 
 def test_train_toy_smoke(tmp_path):

@@ -158,15 +158,16 @@ def test_embedding_matches_direct_composition():
 def decoder_stages(net, size=8, seed=12):
     """Forward one random scene; return the cache and each decoder stage's output.
 
-    A stage's output is what the next stage (or the head) consumes before its
-    nearest-neighbour upsample, so every second pixel recovers it exactly.
+    A stage's output is what the next stage consumes before its
+    nearest-neighbour upsample, so every second pixel recovers it exactly; the
+    head, which runs before the last upsample, consumes the last one as is.
     """
     rng = np.random.default_rng(seed)
     params = init_toy_params(net, 5, 3)
     x, _, objects = random_scene(rng, size, size)
     _, cache = _toy_forward_cached(x, one_hot(objects, 3), net, params)
-    inputs = [h for h, _, _, _ in cache["dec"][1:]] + [cache["head_in"]]
-    return cache, [h[:, ::2, ::2] for h in inputs]
+    inputs = [h[:, ::2, ::2] for h, _, _, _ in cache["dec"][1:]]
+    return cache, inputs + [cache["head_in"]]
 
 
 def test_concat_condition_channel_order():
