@@ -12,7 +12,6 @@ from .adjacency import (
     AdjacencyConfig,
     AdjacencyMatrix,
     adjacency_from_labels,
-    gm_loss,
     normalize_rows,
     soft_adjacency,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "ProbMap", "SceneSpec", "StructuringElement", "ToyNetConfig",
     "Xorshift64Star", "adjacency_from_labels", "argmax_map", "confusion",
     "conv2d_backward", "conv2d_forward", "cross_entropy", "dilate", "generate",
-    "generate_dataset", "gm_loss", "init_toy_params", "load_labelset", "load_map",
+    "generate_dataset", "init_toy_params", "load_labelset", "load_map",
     "load_params", "load_probmap", "mean_gm_loss", "normalize_rows", "one_hot",
     "project_labels", "reconstruction_loss", "report", "save_labelset",
     "save_map", "save_params", "save_ppm", "save_probmap", "soft_adjacency",

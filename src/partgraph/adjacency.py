@@ -12,6 +12,10 @@ The prediction-side path is differentiable: part masks are replaced by
 soft-dilated probability channels and the count becomes a sum of products.
 On a one-hot prediction with hard-max dilation it equals the discrete
 counts, so a perfect prediction scores exactly 0.
+
+All of it is one private forward/backward pair over a (C, H, W) stack, the
+layout the network emits. The public entries take (H, W, C) probabilities
+and are thin wrappers over the pair.
 """
 
 from __future__ import annotations
@@ -158,13 +162,13 @@ def normalize_rows(matrix: AdjacencyMatrix) -> AdjacencyMatrix:
     """Row-wise L2 normalization into proximity ratios. Zero rows stay zero."""
     if matrix.kind != RAW_COUNTS:
         raise DomainError("normalize_rows expects a raw-counts matrix")
-    return AdjacencyMatrix(_normalize_rows_array(matrix.entries), NORMALIZED)
+    return AdjacencyMatrix(_unit_rows(matrix.entries)[0], NORMALIZED)
 
 
-def _normalize_rows_array(raw: np.ndarray) -> np.ndarray:
+def _unit_rows(raw: np.ndarray):
+    """``raw`` with every nonzero row scaled to unit L2 norm, and the row norms."""
     norms = np.linalg.norm(raw, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return raw / safe[:, None]
+    return raw / np.where(norms > 0.0, norms, 1.0)[:, None], norms
 
 
 def soft_adjacency(pred: ProbMap, cfg: AdjacencyConfig):
@@ -175,95 +179,81 @@ def soft_adjacency(pred: ProbMap, cfg: AdjacencyConfig):
     one-hot input with hard_max this reproduces the discrete counts of the
     argmax map exactly.
     """
-    raw, _ = _soft_adjacency_forward(pred.probs, cfg)
+    raw, _, _ = _gm_forward(np.moveaxis(pred.probs, 2, 0), cfg)
     raw_m = AdjacencyMatrix(raw, RAW_COUNTS)
     return raw_m, normalize_rows(raw_m)
 
 
-def _soft_adjacency_forward(probs: np.ndarray, cfg: AdjacencyConfig):
-    """Raw adjacency of an (H, W, C) array plus the cache for the backward pass."""
-    h, w, c = probs.shape
-    stack = np.moveaxis(probs, 2, 0)
-    dilated = np.zeros((c, h * w), dtype=np.float64)
-    caches = []
-    for lo in range(0 if cfg.include_background else 1, c, _SOFT_BLOCK):
-        hi = min(lo + _SOFT_BLOCK, c)
-        fields, cache = soft_dilate_forward(stack[lo:hi], cfg.element, cfg.soft_mode, cfg.beta)
-        dilated[lo:hi] = fields.reshape(hi - lo, h * w)
-        caches.append((lo, hi, cache))
-    counts = dilated @ dilated.T
-    np.fill_diagonal(counts, 0.0)
-    raw = _apply_weighting(counts, cfg.weighting)
-    return raw, (dilated, caches, counts)
-
-
-def gm_loss(reference: AdjacencyMatrix, predicted: AdjacencyMatrix) -> float:
-    """Frobenius distance between two normalized adjacency matrices."""
-    if reference.kind != NORMALIZED or predicted.kind != NORMALIZED:
-        raise DomainError("graph-matching loss expects normalized matrices")
-    if reference.size != predicted.size:
-        raise DomainError(
-            f"size mismatch: reference is {reference.size}, predicted is {predicted.size}"
-        )
-    return float(np.linalg.norm(reference.entries - predicted.entries))
-
-
-def _check_reference(reference: AdjacencyMatrix, channels: int) -> None:
-    if reference.kind != NORMALIZED:
-        raise DomainError("reference adjacency matrix must be normalized")
-    if reference.size != channels:
-        raise DomainError(
-            f"reference matrix is {reference.size} x {reference.size} but the "
-            f"prediction has {channels} channels"
-        )
-
-
-def gm_value_and_grad(probs: np.ndarray, reference: AdjacencyMatrix,
-                      cfg: AdjacencyConfig):
-    """(loss, gradient) of the graph-matching loss for an (H, W, C) probability array.
-
-    Differentiates loss -> row normalization -> soft adjacency -> soft
-    dilation. With ``smooth_max`` the chain is smooth; with ``hard_max`` the
-    window-argmax subgradient is used. At a loss of exactly 0 the gradient is
-    defined as the zero field.
-    """
-    h, w, c = probs.shape
-    _check_reference(reference, c)
-    raw, (dilated, caches, counts) = _soft_adjacency_forward(probs, cfg)
-    norms = np.linalg.norm(raw, axis=1)
-    normalized = _normalize_rows_array(raw)
-    diff = normalized - reference.entries
-    loss = float(np.linalg.norm(diff))
-    if loss == 0.0:
-        return 0.0, np.zeros_like(probs)
-
-    grad_norm = diff / loss
-    # through row normalization: for nonzero rows u with n = u / |u|,
-    # grad_u = (grad_n - n (n . grad_n)) / |u|; zero rows pass nothing
-    grad_raw = np.zeros_like(raw)
-    nonzero = norms > 0.0
-    if np.any(nonzero):
-        n_rows = normalized[nonzero]
-        g_rows = grad_norm[nonzero]
-        inner = np.sum(n_rows * g_rows, axis=1, keepdims=True)
-        grad_raw[nonzero] = (g_rows - n_rows * inner) / norms[nonzero, None]
-    if cfg.weighting == "unweighted":
-        grad_raw = grad_raw * (counts < 1.0)
-    np.fill_diagonal(grad_raw, 0.0)
-
-    # counts = D D^T, so grad_D = (G + G^T) D
-    grad_dilated = (grad_raw + grad_raw.T) @ dilated
-    del dilated  # the backward's arrays may reuse its memory
-
-    grad = np.zeros_like(probs)
-    grad_stack = np.moveaxis(grad, 2, 0)
-    for lo, hi, cache in caches:
-        grad_stack[lo:hi] = soft_dilate_backward(grad_dilated[lo:hi].reshape(hi - lo, h, w), cache)
-    return loss, grad
+def gm_value_and_grad(probs: np.ndarray, reference: AdjacencyMatrix, cfg: AdjacencyConfig):
+    """(loss, gradient) of the graph-matching loss for an (H, W, C) probability array."""
+    _, loss, cache = _gm_forward(np.moveaxis(probs, 2, 0), cfg, reference)
+    return loss, np.moveaxis(_gm_backward(cache), 0, 2)
 
 
 def gm_value(probs: np.ndarray, reference: AdjacencyMatrix, cfg: AdjacencyConfig) -> float:
     """Loss-only variant of :func:`gm_value_and_grad` (used by finite-difference checks)."""
-    _check_reference(reference, probs.shape[2])
-    raw, _ = _soft_adjacency_forward(probs, cfg)
-    return float(np.linalg.norm(_normalize_rows_array(raw) - reference.entries))
+    return _gm_forward(np.moveaxis(probs, 2, 0), cfg, reference)[1]
+
+
+def _gm_forward(stack: np.ndarray, cfg: AdjacencyConfig,
+                reference: AdjacencyMatrix | None = None):
+    """Graph matching on a (C, H, W) probability stack: (raw, loss, cache).
+
+    ``raw`` is the raw soft adjacency. Given a normalized C x C ``reference``,
+    ``loss`` is the Frobenius distance between it and the row-normalized
+    ``raw`` and ``cache`` feeds :func:`_gm_backward`; without one both are None.
+    """
+    c, h, w = stack.shape
+    if reference is not None and reference.kind != NORMALIZED:
+        raise DomainError("reference adjacency matrix must be normalized")
+    if reference is not None and reference.size != c:
+        raise DomainError(f"reference matrix is {reference.size} x {reference.size} but the "
+                          f"prediction has {c} channels")
+    dilated = np.zeros((c, h * w), dtype=np.float64)
+    blocks = []
+    for lo in range(0 if cfg.include_background else 1, c, _SOFT_BLOCK):
+        hi = min(lo + _SOFT_BLOCK, c)
+        fields, block = soft_dilate_forward(stack[lo:hi], cfg.element, cfg.soft_mode, cfg.beta)
+        dilated[lo:hi] = fields.reshape(hi - lo, h * w)
+        blocks.append((lo, hi, block))
+    counts = dilated @ dilated.T
+    np.fill_diagonal(counts, 0.0)
+    raw = _apply_weighting(counts, cfg.weighting)
+    if reference is None:
+        return raw, None, None
+    normalized, norms = _unit_rows(raw)
+    diff = normalized - reference.entries
+    loss = float(np.linalg.norm(diff))
+    return raw, loss, {"shape": stack.shape, "dilated": dilated, "blocks": blocks,
+                       "counts": counts, "weighting": cfg.weighting, "normalized": normalized,
+                       "norms": norms, "diff": diff, "loss": loss}
+
+
+def _gm_backward(cache: dict) -> np.ndarray:
+    """Gradient of :func:`_gm_forward`'s loss with respect to its (C, H, W) stack.
+
+    Differentiates loss -> row normalization -> soft adjacency -> soft
+    dilation. With ``smooth_max`` the chain is smooth; with ``hard_max`` the
+    window-argmax subgradient is used. At a loss of exactly 0 the gradient is
+    defined as the zero field. The dilated channels are taken out of the
+    cache, so they are released before the dilation backward runs.
+    """
+    c, h, w = cache["shape"]
+    if cache["loss"] == 0.0:
+        return np.zeros((c, h, w))
+    # through row normalization: for nonzero rows u with n = u / |u|,
+    # grad_u = (grad_n - n (n . grad_n)) / |u|; zero rows pass nothing
+    grad_norm = cache["diff"] / cache["loss"]
+    n, norms = cache["normalized"], cache["norms"][:, None]
+    inner = np.sum(n * grad_norm, axis=1, keepdims=True)
+    grad_raw = np.divide(grad_norm - n * inner, norms, out=np.zeros_like(n), where=norms > 0.0)
+    if cache["weighting"] == "unweighted":
+        grad_raw *= cache["counts"] < 1.0
+    np.fill_diagonal(grad_raw, 0.0)
+
+    # counts = D D^T, so grad_D = (G + G^T) D
+    grad_dilated = (grad_raw + grad_raw.T) @ cache.pop("dilated")
+    grad = np.zeros((c, h, w))
+    for lo, hi, block in cache.pop("blocks"):
+        grad[lo:hi] = soft_dilate_backward(grad_dilated[lo:hi].reshape(hi - lo, h, w), block)
+    return grad

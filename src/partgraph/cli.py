@@ -260,6 +260,9 @@ def _cmd_train_toy(args) -> int:
                if getattr(args, key) is not None)
     steps, lr, seed = run["steps"], run["lr"], run["seed"]
     num_train, num_heldout = run["train_scenes"], run["heldout_scenes"]
+    for key, least in (("train_scenes", 1), ("heldout_scenes", 0)):
+        if run[key] < least:
+            raise DomainError(f"config.{key} must be >= {least}, got {run[key]}")
 
     spec = SceneSpec(**_config_fields(SceneSpec, doc.get("scene", {}), "scene"))
     net_fields = _config_fields(ToyNetConfig, doc.get("net", {}), "net", _NET_KEYS,

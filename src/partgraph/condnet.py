@@ -21,8 +21,9 @@ zero-padded cross-correlations evaluated one kernel tap at a time, each tap
 one tensordot over a whole block, gradients are hand-derived, and training
 is plain gradient descent with a polynomial learning-rate decay of power
 0.9. The single-scene entry points (``conv2d_forward``, ``toy_forward``,
-``toy_backward``) run the same code on (C, H, W); ``train_toy`` runs its
-scenes in blocks, and a scene's probabilities do not depend on its block.
+``toy_backward``) run the same code on (C, H, W); ``train_toy`` and
+``mean_gm_loss`` run their scenes in blocks, and a scene's probabilities do
+not depend on its block.
 Given a seed, runs are bit-reproducible.
 """
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjacency import AdjacencyConfig, gm_value
+from .adjacency import AdjacencyConfig, _gm_forward
 from .core import PartsToObjectsMapping, ProbMap, one_hot
 from .errors import DomainError, NumericError
 from .losses import LossReport, LossWeights, reference_graph, total_loss
@@ -185,11 +186,6 @@ class EmbeddingConfig:
     @property
     def num_layers(self) -> int:
         return len(self.kernel_sizes)
-
-    @classmethod
-    def reference(cls) -> "EmbeddingConfig":
-        """The full-scale plan: kernels 7,5,3,3, stride 2, channels 128..1024."""
-        return cls((7, 5, 3, 3), (2, 2, 2, 2), (128, 256, 512, 1024))
 
     @classmethod
     def toy(cls, num_layers: int = 4) -> "EmbeddingConfig":
@@ -559,11 +555,16 @@ def train_toy(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
 
 def mean_gm_loss(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
                  params: dict[str, np.ndarray], adj_cfg: AdjacencyConfig) -> float:
-    """Mean graph-matching loss of the network's predictions over held-out scenes."""
+    """Mean graph-matching loss of the network's predictions over held-out scenes.
+
+    The scenes run in the blocks that training uses, each with its reference
+    graph built once.
+    """
     total = 0.0
-    for rgb, parts, objects in scenes:
-        obj_probs = one_hot(objects, mapping.num_objects)
-        pred = toy_forward(rgb, obj_probs, net, params)
-        reference = reference_graph(parts, mapping.num_parts, adj_cfg)
-        total += gm_value(pred.probs, reference, adj_cfg)
+    for images, objs, targets in _training_blocks(scenes, mapping, net, adj_cfg):
+        probs, _ = _forward(images, objs, net, params)
+        if not np.isfinite(probs).all():
+            raise NumericError("non-finite activations on held-out scenes")
+        for j, (_, _, reference) in enumerate(targets):
+            total += _gm_forward(probs[:, j], adj_cfg, reference)[1]
     return total / len(scenes)

@@ -19,6 +19,7 @@ two-byte big-endian encoding netpbm prescribes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 import struct
@@ -270,7 +271,11 @@ def load_labelset(path: str | Path) -> LabelSet:
             f"declared num_objects {doc['num_objects']} disagrees with boundaries "
             f"({mapping.num_objects})"
         )
-    return LabelSet(mapping, bool(doc.get("background_is_class_zero", True)))
+    background = doc.get("background_is_class_zero", True)
+    if not isinstance(background, bool):
+        raise DomainError(f"label-set background_is_class_zero must be true or false, "
+                          f"got {background!r}")
+    return LabelSet(mapping, background)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +312,7 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
             name = _read_exact(f, name_len, "name").decode("utf-8")
             (ndim,) = struct.unpack("<B", _read_exact(f, 1, "ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "shape"))
-            size = int(np.prod(shape)) if ndim else 1
+            size = math.prod(shape)  # exact: np.prod wraps at int64
             data = _read_exact(f, 4 * size, f"data for {name}")
             params[name] = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
     return params

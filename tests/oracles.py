@@ -2,18 +2,19 @@
 
 Everything here is written directly from the definitions (pixel-pair
 distance scans, per-pixel loops, flat sums) and deliberately shares no code
-with the package's vectorized implementations. The training oracle is the
-exception: it is the per-scene loop that the blocked training engine
-replaced, built on the package's single-scene entry points.
+with the package's vectorized implementations. The training and held-out
+oracles are the exception: they are the per-scene loops that the blocked
+engine replaced, built on the package's single-scene entry points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from partgraph import ProbMap, init_toy_params, one_hot
+from partgraph import ProbMap, init_toy_params, one_hot, toy_forward
+from partgraph.adjacency import gm_value
 from partgraph.condnet import _toy_forward_cached, toy_backward
-from partgraph.losses import LossReport, total_loss
+from partgraph.losses import LossReport, reference_graph, total_loss
 
 
 def pixel_distance(dy: int, dx: int, shape: str) -> int:
@@ -272,3 +273,13 @@ def train_toy_oracle(scenes, mapping, net, weights, adj_cfg, steps, lr, seed=Non
         for name in params:
             params[name] = params[name] - (lr_t / n) * grad_acc[name]
     return params, trace
+
+
+def mean_gm_loss_oracle(scenes, mapping, net, params, adj_cfg):
+    """``mean_gm_loss`` as a per-scene loop over the single-scene forward."""
+    total = 0.0
+    for rgb, parts, objects in scenes:
+        pred = toy_forward(rgb, one_hot(objects, mapping.num_objects), net, params)
+        reference = reference_graph(parts, mapping.num_parts, adj_cfg)
+        total += gm_value(pred.probs, reference, adj_cfg)
+    return total / len(scenes)

@@ -11,7 +11,6 @@ from partgraph import (
     ProbMap,
     adjacency_from_labels,
     argmax_map,
-    gm_loss,
     normalize_rows,
     one_hot,
     soft_adjacency,
@@ -221,42 +220,15 @@ def test_soft_adjacency_single_dominant_channel_is_zero():
     assert not norm.entries.any()
 
 
-def test_gm_loss_basics():
-    a = AdjacencyMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), kind="normalized")
-    b = AdjacencyMatrix(np.zeros((2, 2)), kind="normalized")
-    assert gm_loss(a, a) == 0.0
-    assert abs(gm_loss(a, b) - np.sqrt(2.0)) < 1e-15
-    with pytest.raises(DomainError):
-        gm_loss(a, AdjacencyMatrix(np.zeros((3, 3)), kind="normalized"))
-    with pytest.raises(DomainError):
-        gm_loss(a, AdjacencyMatrix(np.zeros((2, 2))))  # raw kind
-
-
-def test_gm_loss_matches_flat_loop():
+def test_gm_value_matches_flat_loop():
     rng = np.random.default_rng(11)
+    cfg = AdjacencyConfig(distance_threshold=2, soft_mode="smooth_max", beta=20.0)
     for _ in range(5):
-        a = rng.random((5, 5))
-        b = rng.random((5, 5))
-        np.fill_diagonal(a, 0.0)
-        np.fill_diagonal(b, 0.0)
-        na = AdjacencyMatrix(a / np.linalg.norm(a, axis=1, keepdims=True), kind="normalized")
-        nb = AdjacencyMatrix(b / np.linalg.norm(b, axis=1, keepdims=True), kind="normalized")
-        assert abs(gm_loss(na, nb) - frobenius_oracle(na.entries, nb.entries)) < 1e-12
-
-
-def test_gm_loss_is_a_metric_on_random_triples():
-    rng = np.random.default_rng(12)
-    def random_normalized():
-        raw = rng.random((4, 4))
-        np.fill_diagonal(raw, 0.0)
-        return AdjacencyMatrix(raw / np.linalg.norm(raw, axis=1, keepdims=True),
-                               kind="normalized")
-    for _ in range(20):
-        a, b, c = random_normalized(), random_normalized(), random_normalized()
-        assert gm_loss(a, b) >= 0.0
-        assert abs(gm_loss(a, b) - gm_loss(b, a)) < 1e-12
-        assert gm_loss(a, c) <= gm_loss(a, b) + gm_loss(b, c) + 1e-12
-        assert gm_loss(a, a) == 0.0
+        reference = normalize_rows(adjacency_from_labels(random_label_map(rng, 6, 5, 5), 5, cfg))
+        probs = random_probs(rng, 6, 5, 5)
+        raw, _ = soft_adjacency(ProbMap(probs), cfg)
+        want = frobenius_oracle(normalize_rows(raw).entries, reference.entries)
+        assert abs(gm_value(probs, reference, cfg) - want) < 1e-12
 
 
 def test_gm_grad_zero_at_zero_loss():
@@ -268,13 +240,15 @@ def test_gm_grad_zero_at_zero_loss():
     loss, grad = gm_value_and_grad(p.probs, reference, cfg)
     assert loss == 0.0
     assert not grad.any()
+    assert gm_value(p.probs, reference, cfg) == 0.0
 
 
 def test_gm_grad_requires_normalized_reference():
     p = ProbMap(np.full((4, 4, 2), 0.5))
     raw = AdjacencyMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
-    with pytest.raises(DomainError):
-        gm_value_and_grad(p.probs, raw, AdjacencyConfig())
+    for entry in (gm_value, gm_value_and_grad):
+        with pytest.raises(DomainError, match="must be normalized"):
+            entry(p.probs, raw, AdjacencyConfig())
 
 
 @pytest.mark.parametrize("entry", [gm_value, gm_value_and_grad])
@@ -376,6 +350,19 @@ def test_gm_grad_unweighted_saturated_region_is_flat():
     probe = probs.copy()
     probe[4, 4, 1] += h
     assert gm_value(probe, reference, cfg) == gm_value(probs, reference, cfg)
+
+
+def test_gm_grad_unweighted_saturated_is_flat_at_a_nonzero_loss():
+    # every soft count saturates, so the prediction is the complete graph; a
+    # chain reference keeps the loss away from 0, and still nothing flows back
+    rng = np.random.default_rng(21)
+    cfg = AdjacencyConfig(distance_threshold=4, soft_mode="smooth_max", beta=20.0,
+                          weighting="unweighted")
+    chain = np.eye(4, k=1) + np.eye(4, k=-1)
+    reference = normalize_rows(AdjacencyMatrix(chain))
+    loss, grad = gm_value_and_grad(random_probs(rng, 8, 8, 4), reference, cfg)
+    assert loss > 0
+    assert not grad.any()
 
 
 @pytest.mark.parametrize("include_background", [True, False])

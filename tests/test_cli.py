@@ -297,8 +297,11 @@ def test_readme_config_example_runs(tmp_path):
     ({"scene": {"parts_per_object": [2, "2"]}}, ["scene.parts_per_object[1]"]),
     ([1, 2], ["JSON object"]),
     (b"\xff{}", ["malformed"]),
+    ({"train_scenes": 20, "heldout_scenes": -5, "steps": 1}, ["config.heldout_scenes", ">= 0"]),
+    ({"train_scenes": -3, "heldout_scenes": 10}, ["config.train_scenes", ">= 1"]),
 ], ids=["scene-unknown", "kernel-sizes-scalar", "top-unknown", "steps-string", "stages-float",
-        "T-bool", "parts-item-string", "not-an-object", "not-utf8"])
+        "T-bool", "parts-item-string", "not-an-object", "not-utf8", "heldout-negative",
+        "train-negative"])
 def test_train_toy_config_rejects_unknown_or_mistyped_keys(tmp_path, config, needles):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())

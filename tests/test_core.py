@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import partgraph
 from partgraph import (
     DomainError,
     LabelMap,
@@ -171,3 +172,9 @@ def test_types_are_immutable():
     p = ProbMap(np.array([[[0.5, 0.5]]]))
     with pytest.raises(ValueError):
         p.probs[0, 0, 0] = 1.0
+
+
+def test_every_public_name_resolves_once():
+    names = partgraph.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(partgraph, name)] == []

@@ -175,6 +175,8 @@ def test_labelset_inconsistent_counts(tmp_path):
     ('"boundaries": 7', "boundaries must be a list of integers"),
     ('"boundaries": [0, 1, 3], "part_names": "abc"', "part_names must be a list of strings"),
     ('"boundaries": [0, 1, 3], "object_names": ["bg", 1]', "object_names must be a list of strings"),
+    ('"boundaries": [0, 1, 3], "background_is_class_zero": "false"',
+     "background_is_class_zero must be true or false"),
 ])
 def test_labelset_fields_must_have_their_json_types(tmp_path, fields, message):
     path = tmp_path / "ls.json"
@@ -210,12 +212,15 @@ def test_ppm_dump(tmp_path):
     assert data[11:14] == b"\xff\x00\x00"
 
 
-# each header declares a 64 MiB payload that the file does not hold
+# each header declares a payload that the file does not hold: 64 MiB, or for
+# "tprm-wrap" 2**66 bytes, whose element count 65536**4 wraps to 0 in int64
 OVERSIZE_HEADERS = {
     "segmap": (load_segmap, b"SEGM" + struct.pack("<BIII", 1, 4096, 8192, 3)),
     "probmap": (load_probmap, b"PROB" + struct.pack("<BIII", 1, 4096, 4096, 1)),
     "tprm": (load_params, b"TPRM" + struct.pack("<BI", 1, 1) + struct.pack("<H", 1) + b"w"
              + struct.pack("<B", 2) + struct.pack("<2I", 4096, 4096)),
+    "tprm-wrap": (load_params, b"TPRM" + struct.pack("<BI", 1, 1) + struct.pack("<H", 1) + b"w"
+                  + struct.pack("<B", 4) + struct.pack("<4I", *[65536] * 4)),
 }
 
 

@@ -1,8 +1,9 @@
 """The blocked training engine against the per-scene training loop it replaced.
 
-``train_toy`` stacks consecutive scenes of equal size into (C, N, H, W)
-blocks and builds each scene's reference graph once. The oracle in
-``oracles.py`` runs every scene alone and rebuilds the reference each step.
+``train_toy`` and ``mean_gm_loss`` stack consecutive scenes of equal size
+into (C, N, H, W) blocks and build each scene's reference graph once. The
+oracles in ``oracles.py`` run every scene alone and rebuild the reference
+each step.
 """
 
 import tracemalloc
@@ -16,11 +17,13 @@ from partgraph import (
     EmbeddingConfig,
     LabelMap,
     LossWeights,
+    NumericError,
     ProbMap,
     SceneSpec,
     ToyNetConfig,
     generate_dataset,
     init_toy_params,
+    mean_gm_loss,
     one_hot,
     train_toy,
 )
@@ -35,7 +38,7 @@ from partgraph.condnet import (
 )
 from partgraph.losses import reference_graph, total_loss
 
-from oracles import train_step_oracle, train_toy_oracle
+from oracles import mean_gm_loss_oracle, train_step_oracle, train_toy_oracle
 
 NET = ToyNetConfig(num_stages=2, encoder_channels=(4, 6), decoder_channels=(6, 4),
                    embedding=EmbeddingConfig.toy(2), conditioning="multi", seed=3)
@@ -114,7 +117,9 @@ def test_mixed_scene_sizes_split_blocks_and_train():
     assert trace[-1].total < trace[0].total
 
 
-def test_reference_graph_is_built_once_per_scene(monkeypatch):
+@pytest.fixture
+def reference_builds(monkeypatch):
+    """The list of ``adjacency_from_labels`` calls made through ``losses``."""
     calls = []
     build = losses.adjacency_from_labels
 
@@ -123,9 +128,39 @@ def test_reference_graph_is_built_once_per_scene(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(losses, "adjacency_from_labels", counting)
+    return calls
+
+
+def test_reference_graph_is_built_once_per_scene(reference_builds):
     scenes, mapping = scenes_of(16, 20)
     train_toy(scenes, mapping, NET, WEIGHTS, CFG, 5, 0.2, seed=11)
-    assert len(calls) == 20  # the per-scene loop made 20 x 5
+    assert len(reference_builds) == 20  # the per-scene loop made 20 x 5
+
+
+@pytest.mark.parametrize("case", ["one", "blocks", "mixed"])
+def test_heldout_scoring_matches_per_scene_loop(case):
+    if case == "mixed":
+        scenes, mapping = mixed_scenes()
+    else:
+        scenes, mapping = scenes_of(16, 1 if case == "one" else 2 * _TRAIN_BLOCK + 1)
+    params = init_toy_params(NET, mapping.num_parts, mapping.num_objects, seed=11)
+    want = mean_gm_loss_oracle(scenes, mapping, NET, params, CFG)
+    assert mean_gm_loss(scenes, mapping, NET, params, CFG) == want
+
+
+def test_heldout_scoring_builds_each_reference_graph_once(reference_builds):
+    scenes, mapping = mixed_scenes()
+    params = init_toy_params(NET, mapping.num_parts, mapping.num_objects, seed=11)
+    mean_gm_loss(scenes, mapping, NET, params, CFG)
+    assert len(reference_builds) == len(scenes)
+
+
+def test_heldout_scoring_rejects_non_finite_activations():
+    scenes, mapping = scenes_of(16, 2)
+    params = init_toy_params(NET, mapping.num_parts, mapping.num_objects, seed=11)
+    params["head.b"] = np.full_like(params["head.b"], np.nan)
+    with pytest.raises(NumericError, match="held-out"):
+        mean_gm_loss(scenes, mapping, NET, params, CFG)
 
 
 def test_total_loss_with_prebuilt_reference_is_identical():
