@@ -26,12 +26,13 @@ import numpy as np
 
 from . import __version__
 from .adjacency import AdjacencyConfig, adjacency_from_labels, normalize_rows
-from .condnet import EmbeddingConfig, ToyNetConfig, mean_gm_loss, train_toy
+from .condnet import CONDITIONING_MODES, EmbeddingConfig, ToyNetConfig, mean_gm_loss, train_toy
 from .core import LabelMap, LabelSet, argmax_map, one_hot
 from .errors import DomainError, NumericError
 from .formats import (
     FORMAT_VERSION,
     PROB_MAGIC,
+    _load_json,
     load_labelset,
     load_map,
     load_probmap,
@@ -44,7 +45,7 @@ from .formats import (
 )
 from .losses import LossWeights, total_loss
 from .metrics import confusion, report
-from .morphology import BinaryMask, StructuringElement, dilate
+from .morphology import ELEMENT_SHAPES, SOFT_MODES, BinaryMask, StructuringElement, dilate
 from .synth import SceneSpec, generate, generate_dataset
 
 
@@ -81,13 +82,6 @@ _NET_KEYS = {"stages": "num_stages", "encoder_channels": "encoder_channels",
              "embedding": "embedding"}
 _SCALARS = {int: ("an integer", (int,)), float: ("a number", (int, float)),
             str: ("a string", (str,)), bool: ("true or false", (bool,))}
-
-
-def _load_json(path: str, what: str):
-    try:
-        return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DomainError(f"malformed {what} JSON in {path}: {exc}") from exc
 
 
 def _typed(value, hint, where: str):
@@ -154,8 +148,8 @@ def _adjacency_config(args, doc: dict | None = None) -> AdjacencyConfig:
         element_shape=args.element,
         weighting="unweighted" if args.unweighted else None,
         include_background=False if getattr(args, "no_background", False) else None,
-        soft_mode=args.soft_mode,
-        beta=args.beta,
+        soft_mode=getattr(args, "soft_mode", None),
+        beta=getattr(args, "beta", None),
     ))
 
 
@@ -301,6 +295,8 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.count < 1:
+        raise DomainError(f"--count must be >= 1, got {args.count}")
     doc = _load_json(args.spec, "scene spec") if args.spec else {}
     spec = SceneSpec(**_config_fields(SceneSpec, doc, "scene spec", seed=args.seed))
     out_dir = Path(args.out_dir)
@@ -336,26 +332,30 @@ def build_parser() -> _Parser:
     common.add_argument("--threads", type=int, default=1, metavar="N",
                         help="accepted and ignored (every command runs on one thread)")
 
+    def add_adjacency_flags(p, background: bool):
+        p.add_argument("--T", type=int, default=None, help="distance threshold in pixels")
+        p.add_argument("--element", choices=ELEMENT_SHAPES, default=None)
+        p.add_argument("--unweighted", action="store_true")
+        if background:
+            p.add_argument("--no-background", action="store_true")
+
+    def add_soft_loss_flags(p):
+        p.add_argument("--soft-mode", dest="soft_mode", choices=SOFT_MODES, default=None)
+        p.add_argument("--beta", type=float, default=None)
+        p.add_argument("--lambda1", type=float, default=None)
+        p.add_argument("--lambda2", type=float, default=None)
+
     p = sub.add_parser("dilate", parents=[common], help="dilate the nonzero pixels of a label map")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--shape", choices=["square", "diamond"], default="square")
+    p.add_argument("--shape", choices=ELEMENT_SHAPES, default="square")
     p.set_defaults(func=_cmd_dilate)
-
-    def add_graph_options(p):
-        p.add_argument("--T", type=int, default=None, help="distance threshold in pixels")
-        p.add_argument("--element", choices=["square", "diamond"], default=None)
-        p.add_argument("--unweighted", action="store_true")
-        p.add_argument("--no-background", action="store_true")
-        p.add_argument("--soft-mode", dest="soft_mode",
-                       choices=["hard_max", "smooth_max"], default=None)
-        p.add_argument("--beta", type=float, default=None)
 
     p = sub.add_parser("graph", parents=[common], help="part-adjacency matrix of a label map")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--parts", type=int, required=True)
-    add_graph_options(p)
+    add_adjacency_flags(p, background=True)
     p.add_argument("--normalized", action="store_true", help="emit proximity ratios")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
@@ -366,9 +366,8 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True)
     p.add_argument("--gt-objects", dest="gt_objects", default=None)
     p.add_argument("--mapping", required=True)
-    add_graph_options(p)
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--lambda2", type=float, default=None)
+    add_adjacency_flags(p, background=True)
+    add_soft_loss_flags(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_loss)
@@ -388,16 +387,10 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="JSON config; flags win over its values")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--lambda2", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--conditioning", choices=["multi", "single", "off"], default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--element", choices=["square", "diamond"], default=None)
-    p.add_argument("--unweighted", action="store_true")
-    p.add_argument("--soft-mode", dest="soft_mode",
-                   choices=["hard_max", "smooth_max"], default=None)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--conditioning", choices=CONDITIONING_MODES, default=None)
+    add_adjacency_flags(p, background=False)
+    add_soft_loss_flags(p)
     p.add_argument("--trace", default=None, help="write the per-step loss trace CSV here")
     p.add_argument("--params", default=None, help="write the trained parameters here")
     p.set_defaults(func=_cmd_train_toy)

@@ -533,8 +533,8 @@ def train_toy(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    if lr < 0.0:
-        raise DomainError(f"learning rate must be >= 0, got {lr}")
+    if not (np.isfinite(lr) and lr >= 0.0):
+        raise DomainError(f"learning rate must be finite and >= 0, got {lr}")
     if not scenes:
         raise DomainError("need at least one training scene")
     params = init_toy_params(net, mapping.num_parts, mapping.num_objects, seed=seed)
@@ -560,6 +560,8 @@ def mean_gm_loss(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
     The scenes run in the blocks that training uses, each with its reference
     graph built once.
     """
+    if not scenes:
+        raise DomainError("need at least one held-out scene")
     total = 0.0
     for images, objs, targets in _training_blocks(scenes, mapping, net, adj_cfg):
         probs, _ = _forward(images, objs, net, params)

@@ -47,6 +47,26 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
+def _read_header(f, magic: bytes, layout: str) -> list:
+    """The header fields that follow ``magic`` and the version byte, unpacked
+    with the struct ``layout``; a wrong magic or version is a DomainError."""
+    found = _read_exact(f, len(magic), "magic")
+    if found != magic:
+        raise DomainError(f"bad magic {found!r}, expected {magic!r}")
+    header = f"<B{layout}"
+    version, *fields = struct.unpack(header, _read_exact(f, struct.calcsize(header), "header"))
+    if version != FORMAT_VERSION:
+        raise DomainError(f"unsupported {magic.decode()} version {version}")
+    return fields
+
+
+def _load_json(path: str | Path, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DomainError(f"malformed {what} JSON in {path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # SEGM label maps
 # ---------------------------------------------------------------------------
@@ -75,12 +95,7 @@ def save_segmap(label_map: LabelMap, path: str | Path, num_classes: int | None =
 def load_segmap(path: str | Path) -> LabelMap:
     """Read a SEGM v1 file; labels are validated against the declared class count."""
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != SEGM_MAGIC:
-            raise DomainError(f"bad magic {magic!r}, expected {SEGM_MAGIC!r}")
-        version, width, height, num_classes = struct.unpack("<BIII", _read_exact(f, 13, "header"))
-        if version != FORMAT_VERSION:
-            raise DomainError(f"unsupported SEGM version {version}")
+        width, height, num_classes = _read_header(f, SEGM_MAGIC, "III")
         if width < 1 or height < 1 or num_classes < 1:
             raise DomainError(f"bad header: width={width} height={height} num_classes={num_classes}")
         payload = _read_exact(f, 2 * width * height, "label payload")
@@ -206,12 +221,7 @@ def load_probmap(path: str | Path) -> ProbMap:
     are validated at a coarse 1e-4 tolerance and each pixel is renormalized.
     """
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != PROB_MAGIC:
-            raise DomainError(f"bad magic {magic!r}, expected {PROB_MAGIC!r}")
-        version, width, height, channels = struct.unpack("<BIII", _read_exact(f, 13, "header"))
-        if version != FORMAT_VERSION:
-            raise DomainError(f"unsupported PROB version {version}")
+        width, height, channels = _read_header(f, PROB_MAGIC, "III")
         if width < 1 or height < 1 or channels < 1:
             raise DomainError(f"bad header: width={width} height={height} channels={channels}")
         payload = _read_exact(f, 4 * width * height * channels, "probability payload")
@@ -244,10 +254,7 @@ def save_labelset(label_set: LabelSet, path: str | Path) -> None:
 
 
 def load_labelset(path: str | Path) -> LabelSet:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DomainError(f"malformed label-set JSON in {path}: {exc}") from exc
+    doc = _load_json(path, "label-set")
     for key, kind, what in (("boundaries", int, "integers"), ("object_names", str, "strings"),
                             ("part_names", str, "strings")):
         value = doc.get(key) if isinstance(doc, dict) else None
@@ -301,12 +308,7 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
     """Read a TPRM v1 file back into a dict of float64 arrays."""
     params: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != TPRM_MAGIC:
-            raise DomainError(f"bad magic {magic!r}, expected {TPRM_MAGIC!r}")
-        version, count = struct.unpack("<BI", _read_exact(f, 5, "header"))
-        if version != FORMAT_VERSION:
-            raise DomainError(f"unsupported TPRM version {version}")
+        (count,) = _read_header(f, TPRM_MAGIC, "I")
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
             name = _read_exact(f, name_len, "name").decode("utf-8")

@@ -52,8 +52,9 @@ class LossWeights:
     lambda2: float = 0.1
 
     def __post_init__(self):
-        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
-            raise DomainError("loss weights must be nonnegative")
+        for name, value in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
+            if not (np.isfinite(value) and value >= 0.0):
+                raise DomainError(f"loss weight {name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

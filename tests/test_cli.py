@@ -12,6 +12,7 @@ from partgraph import (
     AdjacencyConfig,
     LabelMap,
     LabelSet,
+    LossWeights,
     PartsToObjectsMapping,
     ProbMap,
     adjacency_from_labels,
@@ -22,25 +23,36 @@ from partgraph import (
     save_map,
     save_probmap,
 )
-from partgraph.cli import _ADJACENCY_KEYS, _config_fields
+from partgraph.cli import (
+    _ADJACENCY_KEYS,
+    _adjacency_config,
+    _config_fields,
+    _loss_weights,
+    build_parser,
+)
 from partgraph.formats import load_segmap
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args, **kwargs):
-    return subprocess.run([sys.executable, "-m", "partgraph", *args],
-                          capture_output=True, text=False, **kwargs)
+    """Run the CLI and check its stderr contract: empty on success, one line
+    and no traceback on a data (2) or numeric (3) error."""
+    result = subprocess.run([sys.executable, "-m", "partgraph", *args],
+                            capture_output=True, text=False, **kwargs)
+    lines = result.stderr.decode().splitlines()
+    if result.returncode == 0:
+        assert result.stderr == b"", lines
+    elif result.returncode in (2, 3):
+        assert len(lines) == 1 and "Traceback" not in lines[0], lines
+    return result
 
 
 def assert_one_line_data_error(result, *needles):
     assert result.returncode == 2
     assert result.stdout == b""
-    lines = result.stderr.decode().splitlines()
-    assert len(lines) == 1, lines
-    assert "Traceback" not in lines[0]
     for needle in needles:
-        assert needle in lines[0]
+        assert needle in result.stderr.decode()
 
 
 def test_no_arguments_is_a_usage_error():
@@ -50,9 +62,28 @@ def test_no_arguments_is_a_usage_error():
     assert result.stdout == b""
 
 
-def test_unknown_flag_is_a_usage_error():
-    result = run_cli("graph", "--bogus")
+@pytest.mark.parametrize("flag", [("--bogus",), ("--beta", "5"), ("--soft-mode", "hard_max")],
+                         ids=["bogus", "beta", "soft-mode"])
+def test_unknown_flag_is_a_usage_error(scene_files, flag):
+    # graph builds the discrete reference graph: the soft-dilation flags are not its own
+    base, _, _ = scene_files
+    result = run_cli("graph", "--in", str(base / "parts.segmap"), "--parts", "3", *flag)
     assert result.returncode == 1
+    assert b"unrecognized arguments: " + flag[0].encode() in result.stderr
+
+
+SHARED_FLAGS = ("--T", "2", "--element", "diamond", "--unweighted", "--soft-mode", "hard_max",
+                "--beta", "10", "--lambda1", "0.01", "--lambda2", "0.5")
+
+
+@pytest.mark.parametrize("command", [("loss", "--pred", "p", "--gt", "g", "--mapping", "m"),
+                                     ("train-toy",)], ids=["loss", "train-toy"])
+def test_loss_and_train_toy_take_every_shared_flag(command):
+    args = build_parser().parse_args([*command, *SHARED_FLAGS])
+    assert _adjacency_config(args) == AdjacencyConfig(
+        distance_threshold=2, element_shape="diamond", weighting="unweighted",
+        soft_mode="hard_max", beta=10.0)
+    assert _loss_weights(args) == LossWeights(lambda1=0.01, lambda2=0.5)
 
 
 def test_version_reports_format_versions():
@@ -96,10 +127,8 @@ def test_dilate_radius_beyond_the_image_costs_what_the_image_costs(tmp_path, sce
     outputs = []
     for radius in (covering, 100000, 10**9):
         out = tmp_path / f"dilated-{radius}.segmap"
-        result = subprocess.run([sys.executable, "-m", "partgraph", "dilate",
-                                 "--in", str(base / "parts.segmap"), "--radius", str(radius),
-                                 "--shape", shape, "--out", str(out)],
-                                capture_output=True, timeout=30)
+        result = run_cli("dilate", "--in", str(base / "parts.segmap"), "--radius", str(radius),
+                         "--shape", shape, "--out", str(out), timeout=30)
         assert result.returncode == 0, result.stderr
         outputs.append(load_segmap(out).labels)
     assert all(np.array_equal(outputs[0], out) for out in outputs[1:])
@@ -173,15 +202,28 @@ def test_loss_size_mismatch_names_both_sizes(tmp_path, scene_files):
     assert b"8x8" in result.stderr and b"4x4" in result.stderr
 
 
-def test_loss_rejects_nan_beta(scene_files):
+@pytest.mark.parametrize("flag,value", [("beta", "nan"), ("lambda1", "nan"), ("lambda1", "inf"),
+                                        ("lambda2", "nan"), ("lambda2", "inf")])
+def test_loss_rejects_non_finite_values(scene_files, flag, value):
     base, _, _ = scene_files
     result = run_cli("loss", "--pred", str(base / "pred.probmap"),
                      "--gt", str(base / "parts.segmap"),
-                     "--mapping", str(base / "labelset.json"), "--beta", "nan")
-    assert result.returncode == 2
-    assert result.stdout == b""
-    lines = result.stderr.decode().splitlines()
-    assert len(lines) == 1 and "beta" in lines[0]
+                     "--mapping", str(base / "labelset.json"), f"--{flag}", value)
+    assert_one_line_data_error(result, flag, f"got {value}")
+
+
+@pytest.mark.parametrize("flags,config,needles", [
+    (("--lr", "nan"), {}, ["learning rate", "got nan"]),
+    (("--lr", "inf"), {}, ["learning rate", "got inf"]),
+    ((), {"lr": float("nan")}, ["learning rate", "got nan"]),
+    (("--lambda2", "inf"), {}, ["lambda2", "got inf"]),
+    ((), {"lambda1": float("inf")}, ["lambda1", "got inf"]),
+], ids=["lr-nan", "lr-inf", "config-lr-nan", "lambda2-inf", "config-lambda1-inf"])
+def test_train_toy_rejects_non_finite_values(tmp_path, flags, config, needles):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"train_scenes": 1, **config}))  # NaN and Infinity literals
+    result = run_cli("train-toy", "--config", str(cfg_path), "--steps", "1", *flags)
+    assert_one_line_data_error(result, *needles)
 
 
 def test_metrics_command(tmp_path, scene_files):
@@ -215,6 +257,14 @@ def test_synth_command_writes_triples(tmp_path):
     assert "scene_0000.ppm" in names
     assert (out_dir / "labelset.json").exists()
     assert load_segmap(out_dir / "scene_0001.parts.segmap").labels.any()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_synth_count_below_one_is_a_data_error(tmp_path, count):
+    out_dir = tmp_path / "scenes"
+    result = run_cli("synth", "--out-dir", str(out_dir), "--count", count)
+    assert_one_line_data_error(result, "--count", count)
+    assert not out_dir.exists()
 
 
 def test_loss_reads_synth_objects_probmap(tmp_path):

@@ -340,6 +340,17 @@ def test_train_divergence_aborts_with_step_index():
         train_toy(scenes, MAPPING, net, LossWeights(), cfg, steps=8, lr=1e150, seed=2)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_loss_weights_and_learning_rate_must_be_finite_and_nonnegative(value):
+    for name in ("lambda1", "lambda2"):
+        with pytest.raises(DomainError, match=f"{name} must be finite and >= 0"):
+            LossWeights(**{name: value})
+    scenes = [random_scene(np.random.default_rng(11))]
+    with pytest.raises(DomainError, match="learning rate must be finite and >= 0"):
+        train_toy(scenes, MAPPING, small_net(), LossWeights(), AdjacencyConfig(), steps=1,
+                  lr=value)
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         ToyNetConfig(num_stages=0)

@@ -163,6 +163,13 @@ def test_heldout_scoring_rejects_non_finite_activations():
         mean_gm_loss(scenes, mapping, NET, params, CFG)
 
 
+def test_heldout_scoring_of_no_scenes_is_a_domain_error():
+    _, mapping = scenes_of(16, 1)
+    params = init_toy_params(NET, mapping.num_parts, mapping.num_objects, seed=11)
+    with pytest.raises(DomainError, match="held-out scene"):
+        mean_gm_loss([], mapping, NET, params, CFG)
+
+
 def test_total_loss_with_prebuilt_reference_is_identical():
     scenes, mapping = scenes_of(16, 2)
     rng = np.random.default_rng(0)
