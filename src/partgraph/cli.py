@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .adjacency import AdjacencyConfig, adjacency_from_labels, normalize_rows
-from .condnet import CONDITIONING_MODES, EmbeddingConfig, ToyNetConfig, mean_gm_loss, train_toy
+from .condnet import CONDITIONING_MODES, ToyNetConfig, _check_schedule, mean_gm_loss, train_toy
 from .core import LabelMap, LabelSet, argmax_map, one_hot
 from .errors import DomainError, NumericError
 from .formats import (
@@ -259,14 +259,12 @@ def _cmd_train_toy(args) -> int:
             raise DomainError(f"config.{key} must be >= {least}, got {run[key]}")
 
     spec = SceneSpec(**_config_fields(SceneSpec, doc.get("scene", {}), "scene"))
-    net_fields = _config_fields(ToyNetConfig, doc.get("net", {}), "net", _NET_KEYS,
-                                conditioning=args.conditioning)
-    net_fields.setdefault("embedding", EmbeddingConfig.toy(
-        net_fields.get("num_stages", ToyNetConfig.num_stages)))
-    net = ToyNetConfig(**net_fields)
+    net = ToyNetConfig(**_config_fields(ToyNetConfig, doc.get("net", {}), "net", _NET_KEYS,
+                                        conditioning=args.conditioning))
     cfg = _adjacency_config(args, {k: v for k, v in doc.items() if k in _ADJACENCY_KEYS})
     weights = _loss_weights(args, {k: v for k, v in doc.items() if k in weight_keys})
 
+    _check_schedule(steps, lr)  # before the scenes are built
     scenes, mapping = generate_dataset(spec, num_train + num_heldout)
     train_scenes, heldout = scenes[:num_train], scenes[num_train:]
     params, trace = train_toy(train_scenes, mapping, net, weights, cfg, steps, lr, seed=seed)

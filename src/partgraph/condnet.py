@@ -3,14 +3,16 @@
 Tensors are plain numpy arrays, channels first: (C, H, W) for one scene and
 (C, N, H, W) for a block of N scenes of equal size. The network is an
 autoencoder for part probabilities whose decoder is conditioned on
-object-level predictions: the object map is pushed through a small
-convolutional embedding cascade, and each decoder stage concatenates the
-embedding level at its own resolution (deepest level first),
+object-level predictions: the object map is pushed through the first ``k``
+layers of a small convolutional embedding cascade, and each decoder stage
+concatenates the embedding level at its own resolution (deepest level first),
 
-    stage i output = relu(conv(stage input))  ++  pyramid[levels - i]
+    stage i output = relu(conv(stage input))  ++  pyramid[k - i]
 
 with ``k`` stride-2 encoder stages mirrored by ``k`` decoder stages and a
-final 1x1 classifier + per-pixel softmax + upsample.
+final 1x1 classifier + per-pixel softmax + upsample. The encoder and the
+embedding are chains of relu(conv) layers, both run by one forward/backward
+pair; the network's parameters are exactly the layers its forward runs.
 
 Conditioning modes: ``multi`` concatenates at every decoder stage, ``single``
 only at the deepest stage, ``off`` not at all (the object input is then
@@ -69,7 +71,7 @@ def _padded(x: np.ndarray, kh: int, kw: int, stride: int):
 
 
 def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
-                  stride: int) -> np.ndarray:
+                  stride: int = 1) -> np.ndarray:
     """SAME-padded cross-correlation of a (C, ..., H, W) tensor, one tensordot per tap."""
     f, cin, kh, kw = weights.shape
     if x.shape[0] != cin:
@@ -87,8 +89,8 @@ def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
     return out
 
 
-def _conv_backward(x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray, stride: int,
-                   input_grad: bool = True):
+def _conv_backward(x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray,
+                   stride: int = 1, input_grad: bool = True):
     """Gradients of :func:`_conv_forward`: (input grad or None, weight grad, bias grad).
 
     Weight and bias gradients are summed over every axis but the channels,
@@ -189,20 +191,23 @@ class EmbeddingConfig:
 
     @classmethod
     def toy(cls, num_layers: int = 4) -> "EmbeddingConfig":
-        """Desk-scale plan with the same kernel cascade and small channel counts."""
-        if not 1 <= num_layers <= 4:
-            raise DomainError(f"toy embedding supports 1..4 layers, got {num_layers}")
-        return cls((7, 5, 3, 3)[:num_layers], (2,) * num_layers, (8, 16, 32, 64)[:num_layers])
+        """The first ``num_layers`` layers of the default cascade."""
+        full = cls()
+        if not 1 <= num_layers <= full.num_layers:
+            raise DomainError(
+                f"toy embedding supports 1..{full.num_layers} layers, got {num_layers}")
+        return cls(full.kernel_sizes[:num_layers], full.strides[:num_layers],
+                   full.channel_sizes[:num_layers])
 
 
 @dataclass(frozen=True)
 class ToyNetConfig:
-    """Shape of the toy part-segmentation network."""
+    """Shape of the toy network, which runs the first ``num_stages`` layers of ``embedding``."""
 
     num_stages: int = 2
     encoder_channels: tuple[int, ...] = (8, 16)
     decoder_channels: tuple[int, ...] = (16, 8)
-    embedding: EmbeddingConfig = field(default_factory=lambda: EmbeddingConfig.toy(2))
+    embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
     conditioning: str = "multi"
     seed: int = 0
 
@@ -245,28 +250,27 @@ class ToyNetConfig:
 # ---------------------------------------------------------------------------
 
 def _conv_shapes(net: ToyNetConfig, num_parts: int, num_objects: int):
-    """Ordered (name, (F, C, kh, kw), stride) for every conv in the network."""
-    shapes: list[tuple[str, tuple[int, int, int, int], int]] = []
-    k = net.num_stages
-    cin = 3
-    for i, cout in enumerate(net.encoder_channels, start=1):
-        shapes.append((f"enc{i}", (cout, cin, 3, 3), 2))
-        cin = cout
-    emb = net.embedding
+    """Ordered (name, (F, C, kh, kw)) for every conv the forward runs.
+
+    The encoder has 3x3 layers; the embedding, unless conditioning is off,
+    runs its first ``num_stages`` layers.
+    """
+    k, emb = net.num_stages, net.embedding
+    chains = [("enc", 3, (3,) * k, net.encoder_channels)]
     if net.conditioning != "off":
-        cin_e = num_objects
-        for i in range(1, emb.num_layers + 1):
-            shapes.append((f"emb{i}", (emb.channel_sizes[i - 1], cin_e,
-                                       emb.kernel_sizes[i - 1], emb.kernel_sizes[i - 1]),
-                           emb.strides[i - 1]))
-            cin_e = emb.channel_sizes[i - 1]
-    cin_d = net.encoder_channels[-1]
+        chains.append(("emb", num_objects, emb.kernel_sizes[:k], emb.channel_sizes[:k]))
+    shapes: list[tuple[str, tuple[int, int, int, int]]] = []
+    for prefix, cin, kernels, channels in chains:
+        for i, (size, cout) in enumerate(zip(kernels, channels), start=1):
+            shapes.append((f"{prefix}{i}", (cout, cin, size, size)))
+            cin = cout
+    cin = net.encoder_channels[-1]
     for i in range(1, k + 1):
-        shapes.append((f"dec{i}", (net.decoder_channels[i - 1], cin_d, 3, 3), 1))
-        cin_d = net.decoder_channels[i - 1]
+        shapes.append((f"dec{i}", (net.decoder_channels[i - 1], cin, 3, 3)))
+        cin = net.decoder_channels[i - 1]
         if net.stage_conditioned(i):
-            cin_d += emb.channel_sizes[k - i]
-    shapes.append(("head", (num_parts, cin_d, 1, 1), 1))
+            cin += emb.channel_sizes[k - i]
+    shapes.append(("head", (num_parts, cin, 1, 1)))
     return shapes
 
 
@@ -275,7 +279,7 @@ def init_toy_params(net: ToyNetConfig, num_parts: int, num_objects: int,
     """Seeded weight initialization: uniform in +-1/sqrt(fan_in), zero biases."""
     rng = Xorshift64Star(net.seed if seed is None else seed)
     params: dict[str, np.ndarray] = {}
-    for name, shape, _stride in _conv_shapes(net, num_parts, num_objects):
+    for name, shape in _conv_shapes(net, num_parts, num_objects):
         fan_in = shape[1] * shape[2] * shape[3]
         bound = 1.0 / np.sqrt(fan_in)
         flat = np.array([rng.uniform(-bound, bound) for _ in range(int(np.prod(shape)))])
@@ -285,7 +289,7 @@ def init_toy_params(net: ToyNetConfig, num_parts: int, num_objects: int,
 
 
 # ---------------------------------------------------------------------------
-# Embedding pyramid
+# Conv-relu chains
 # ---------------------------------------------------------------------------
 
 def as_tensor(prob_map: ProbMap) -> np.ndarray:
@@ -293,25 +297,40 @@ def as_tensor(prob_map: ProbMap) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(prob_map.probs, 2, 0))
 
 
-def _embed_forward(x: np.ndarray, cfg: EmbeddingConfig, params: dict[str, np.ndarray],
-                   num_levels: int):
-    """The first ``num_levels`` levels of the embedding pyramid of a (C, ..., H, W) tensor.
+def _chain_forward(x: np.ndarray, prefix: str, strides: tuple[int, ...],
+                   params: dict[str, np.ndarray]):
+    """Run layers ``{prefix}1 .. {prefix}n``, each relu(conv), on a (C, ..., H, W) tensor.
 
-    Level i (1-based) is relu(conv(level i - 1)) with the kernel, stride and
-    channel count of embedding layer i, so with stride 2 it sits at 1/2**i of
-    the input resolution. Returns the levels and the per-layer (input,
-    activation) pairs the backward pass needs.
+    Returns the (input, activation, stride) of every layer, which is what
+    :func:`_chain_backward` needs. Each relu output is positive exactly where
+    its pre-activation is, and a layer's activation is the next one's input.
     """
-    levels = []
-    cache = []
+    layers = []
     h = x
-    for i in range(1, num_levels + 1):
-        out = np.maximum(_conv_forward(h, params[f"emb{i}.w"], params[f"emb{i}.b"],
-                                       cfg.strides[i - 1]), 0.0)
-        cache.append((h, out))
-        levels.append(out)
+    for i, stride in enumerate(strides, start=1):
+        out = np.maximum(_conv_forward(h, params[f"{prefix}{i}.w"], params[f"{prefix}{i}.b"],
+                                       stride), 0.0)
+        layers.append((h, out, stride))
         h = out
-    return levels, cache
+    return layers
+
+
+def _chain_backward(layers: list, prefix: str, params: dict[str, np.ndarray],
+                    grads: dict[str, np.ndarray], g: np.ndarray,
+                    joins: dict[int, np.ndarray] | None = None) -> None:
+    """Parameter gradients of a :func:`_chain_forward` chain, written into ``grads``.
+
+    ``g`` is the gradient at the last activation; ``joins`` maps a 0-based
+    layer index to a gradient that joins at that layer's activation, as a
+    concatenated pyramid level's does. The first layer's input is data and
+    gets no gradient. Consumes ``layers``.
+    """
+    for i in range(len(layers), 0, -1):
+        h_in, out, stride = layers.pop()
+        if joins and i - 1 in joins:
+            g = g + joins[i - 1]
+        g, grads[f"{prefix}{i}.w"], grads[f"{prefix}{i}.b"] = _conv_backward(
+            h_in, params[f"{prefix}{i}.w"], g * (out > 0.0), stride, input_grad=i > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,33 +357,25 @@ def _forward(x: np.ndarray, objects: np.ndarray, net: ToyNetConfig,
              params: dict[str, np.ndarray]):
     """Probabilities and backward cache for (3, ..., H, W) images and object maps.
 
-    Each cached (input, activation) pair keeps the relu output, which is
-    positive exactly where the pre-activation is, so a layer's activation and
-    the next layer's input are one array. The 1x1 head and the softmax run
-    before the last upsample, with which both commute.
+    The encoder and the embedding are :func:`_chain_forward` chains; pyramid
+    level i (0-based) is the activation of embedding layer i + 1. Each cached
+    decoder entry keeps the relu output, as the chains do. The 1x1 head and
+    the softmax run before the last upsample, with which both commute.
     """
     k = net.num_stages
     cache: dict = {"net": net, "params": params}
-
-    h = x
-    enc_cache = []
-    for i in range(1, k + 1):
-        out = np.maximum(_conv_forward(h, params[f"enc{i}.w"], params[f"enc{i}.b"], 2), 0.0)
-        enc_cache.append((h, out))
-        h = out
-    cache["enc"] = enc_cache
-
-    pyramid: list[np.ndarray] = []
+    cache["enc"] = _chain_forward(x, "enc", (2,) * k, params)
+    h = cache["enc"][-1][1]  # the last encoder activation
     if net.conditioning != "off":
-        pyramid, cache["emb"] = _embed_forward(objects, net.embedding, params, k)
-    cache["pyramid"] = pyramid
+        cache["emb"] = _chain_forward(objects, "emb", net.embedding.strides[:k], params)
+    pyramid = cache["pyramid"] = [out for _, out, _ in cache.get("emb", [])]
 
     dec_cache = []
     for i in range(1, k + 1):
         upsampled = i > 1
         if upsampled:
             h = upsample2(h)
-        out = np.maximum(_conv_forward(h, params[f"dec{i}.w"], params[f"dec{i}.b"], 1), 0.0)
+        out = np.maximum(_conv_forward(h, params[f"dec{i}.w"], params[f"dec{i}.b"]), 0.0)
         if net.stage_conditioned(i):
             level = pyramid[k - i]
             if level.shape[-2:] != out.shape[-2:]:
@@ -379,7 +390,7 @@ def _forward(x: np.ndarray, objects: np.ndarray, net: ToyNetConfig,
         h = merged
     cache["dec"] = dec_cache
 
-    probs = softmax_channels(_conv_forward(h, params["head.w"], params["head.b"], 1))
+    probs = softmax_channels(_conv_forward(h, params["head.w"], params["head.b"]))
     cache["head_in"] = h
     cache["probs"] = probs
     return upsample2(probs), cache
@@ -414,7 +425,7 @@ def toy_backward(cache: dict, grad_probs: np.ndarray) -> dict[str, np.ndarray]:
 
     g = softmax_backward(upsample2_backward(grad_probs), cache.pop("probs"))
     g, grads["head.w"], grads["head.b"] = _conv_backward(cache.pop("head_in"),
-                                                         params["head.w"], g, 1)
+                                                         params["head.w"], g)
 
     # gradients flowing into each pyramid level (0-based index) via concatenation
     pyramid_grads: dict[int, np.ndarray] = {}
@@ -424,30 +435,16 @@ def toy_backward(cache: dict, grad_probs: np.ndarray) -> dict[str, np.ndarray]:
         if net.stage_conditioned(i):
             pyramid_grads[k - i] = g[own_channels:]
             g = g[:own_channels]
-        g = g * (out > 0.0)
-        g, grads[f"dec{i}.w"], grads[f"dec{i}.b"] = _conv_backward(
-            h_in, params[f"dec{i}.w"], g, 1)
+        g, grads[f"dec{i}.w"], grads[f"dec{i}.b"] = _conv_backward(h_in, params[f"dec{i}.w"],
+                                                                   g * (out > 0.0))
         if upsampled:
             g = upsample2_backward(g)
 
-    enc_cache = cache.pop("enc")
-    for i in range(k, 0, -1):
-        h_in, out = enc_cache.pop()
-        g = g * (out > 0.0)
-        g, grads[f"enc{i}.w"], grads[f"enc{i}.b"] = _conv_backward(
-            h_in, params[f"enc{i}.w"], g, 2, input_grad=i > 1)
-
-    if net.conditioning != "off":
-        emb_cache = cache.pop("emb")
-        carried = pyramid_grads[k - 1]  # every mode but off conditions stage 1
-        for i in range(k, 0, -1):
-            h_in, out = emb_cache.pop()
-            g_e = carried * (out > 0.0)
-            g_e, grads[f"emb{i}.w"], grads[f"emb{i}.b"] = _conv_backward(
-                h_in, params[f"emb{i}.w"], g_e, net.embedding.strides[i - 1],
-                input_grad=i > 1)
-            if i > 1:
-                carried = g_e + pyramid_grads.get(i - 2, 0.0)
+    _chain_backward(cache.pop("enc"), "enc", params, grads, g)
+    if "emb" in cache:
+        # every mode but off conditions stage 1, which takes the deepest level
+        _chain_backward(cache.pop("emb"), "emb", params, grads,
+                        pyramid_grads.pop(k - 1), pyramid_grads)
     return grads
 
 
@@ -517,6 +514,14 @@ def _train_step(blocks, mapping: PartsToObjectsMapping, net: ToyNetConfig,
     return sums, grad_acc
 
 
+def _check_schedule(steps: int, lr: float) -> None:
+    """The step count and learning rate :func:`train_toy` accepts."""
+    if steps < 1:
+        raise DomainError(f"steps must be >= 1, got {steps}")
+    if not (np.isfinite(lr) and lr >= 0.0):
+        raise DomainError(f"learning rate must be finite and >= 0, got {lr}")
+
+
 def train_toy(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
               weights: LossWeights, adj_cfg: AdjacencyConfig, steps: int, lr: float,
               seed: int | None = None):
@@ -531,10 +536,7 @@ def train_toy(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
     equal size; stacking them, their object one-hots and their reference
     graphs is done once, before the first step.
     """
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    if not (np.isfinite(lr) and lr >= 0.0):
-        raise DomainError(f"learning rate must be finite and >= 0, got {lr}")
+    _check_schedule(steps, lr)
     if not scenes:
         raise DomainError("need at least one training scene")
     params = init_toy_params(net, mapping.num_parts, mapping.num_objects, seed=seed)

@@ -71,19 +71,14 @@ def _load_json(path: str | Path, what: str):
 # SEGM label maps
 # ---------------------------------------------------------------------------
 
-def save_segmap(label_map: LabelMap, path: str | Path, num_classes: int | None = None) -> None:
+def save_segmap(label_map: LabelMap, path: str | Path) -> None:
     """Write a label map in SEGM v1 format.
 
-    ``num_classes`` defaults to the map's declared count, else max label + 1.
+    The header declares the map's class count, else max label + 1.
     """
-    if num_classes is None:
-        num_classes = label_map.num_classes
+    num_classes = label_map.num_classes
     if num_classes is None:
         num_classes = int(label_map.labels.max()) + 1
-    if label_map.labels.max() >= num_classes:
-        raise DomainError(
-            f"labels reach {label_map.labels.max()} but header declares {num_classes} classes"
-        )
     if num_classes > 1 << 16:
         raise DomainError(f"SEGM stores u16 labels; {num_classes} classes do not fit")
     with open(path, "wb") as f:

@@ -150,12 +150,12 @@ def generate(spec: SceneSpec):
             )
 
     palette = np.stack([part_color(p) for p in range(spec.num_parts)])
-    rgb = np.moveaxis(palette[parts], 2, 0).copy()
-    for c in range(3):
-        for y in range(spec.height):
-            for x in range(spec.width):
-                rgb[c, y, x] += rng.uniform(-_NOISE_AMPLITUDE, _NOISE_AMPLITUDE)
-    rgb = np.clip(rgb, 0.0, 1.0)
+    # one noise draw per value in (c, y, x) order, streamed without a Python list
+    rgb = np.fromiter((rng.uniform(-_NOISE_AMPLITUDE, _NOISE_AMPLITUDE)
+                       for _ in range(3 * parts.size)), dtype=np.float64, count=3 * parts.size)
+    rgb = rgb.reshape((3,) + parts.shape)
+    rgb += np.moveaxis(palette[parts], 2, 0)
+    np.clip(rgb, 0.0, 1.0, out=rgb)
 
     parts_map = LabelMap(parts, num_classes=spec.num_parts)
     objects_map = project_labels(parts_map, mapping)

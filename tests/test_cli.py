@@ -23,6 +23,7 @@ from partgraph import (
     save_map,
     save_probmap,
 )
+from partgraph import cli
 from partgraph.cli import (
     _ADJACENCY_KEYS,
     _adjacency_config,
@@ -30,7 +31,7 @@ from partgraph.cli import (
     _loss_weights,
     build_parser,
 )
-from partgraph.formats import load_segmap
+from partgraph.formats import load_params, load_segmap
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -226,6 +227,21 @@ def test_train_toy_rejects_non_finite_values(tmp_path, flags, config, needles):
     assert_one_line_data_error(result, *needles)
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--lr", "nan", "learning rate must be finite and >= 0, got nan"),
+    ("--steps", "0", "steps must be >= 1, got 0"),
+], ids=["lr-nan", "steps-0"])
+def test_train_toy_checks_steps_and_lr_before_building_scenes(monkeypatch, capsys, flag, value,
+                                                              message):
+    def build_scenes(*args):
+        raise AssertionError("scenes were built before the check")
+
+    monkeypatch.setattr(cli, "generate_dataset", build_scenes)
+    assert cli.main(["train-toy", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"partgraph train-toy: {message}\n")
+
+
 def test_metrics_command(tmp_path, scene_files):
     base, parts, mapping = scene_files
     pred_dir = tmp_path / "pred"
@@ -321,6 +337,39 @@ def test_train_toy_smoke(tmp_path):
     assert lines[0] == "step,ce,rec,gm,total"
     assert len(lines) == 4
     assert params_path.read_bytes()[:4] == b"TPRM"
+
+
+SMALL_SCENE = {"width": 32, "height": 32, "num_objects": 1, "parts_per_object": [2],
+               "min_instance": 4}
+
+
+def test_train_toy_params_hold_only_the_layers_the_net_runs(tmp_path):
+    config = {"net": {"stages": 2, "embedding": {"kernel_sizes": [7, 5, 3], "strides": [2, 2, 2],
+                                                 "channel_sizes": [8, 16, 32]}},
+              "scene": SMALL_SCENE, "train_scenes": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    params_path = tmp_path / "params.tprm"
+    result = run_cli("train-toy", "--config", str(cfg_path), "--steps", "1",
+                     "--params", str(params_path))
+    assert result.returncode == 0, result.stderr
+    names = sorted(name for name in load_params(params_path) if name.startswith("emb"))
+    assert names == ["emb1.b", "emb1.w", "emb2.b", "emb2.w"]
+
+
+@pytest.mark.parametrize("conditioning,code,stderr", [
+    ("off", 0, ""),
+    ("multi", 2, "partgraph train-toy: conditioning needs >= 5 embedding layers, got 4\n"),
+], ids=["off", "multi"])
+def test_train_toy_five_stages_need_an_embedding_only_when_conditioned(tmp_path, conditioning,
+                                                                       code, stderr):
+    config = {"net": {"stages": 5, "encoder_channels": [4] * 5, "decoder_channels": [4] * 5},
+              "scene": SMALL_SCENE, "train_scenes": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    result = run_cli("train-toy", "--config", str(cfg_path), "--steps", "1",
+                     "--conditioning", conditioning)
+    assert (result.returncode, result.stderr.decode()) == (code, stderr)
 
 
 def test_readme_config_example_runs(tmp_path):

@@ -20,7 +20,7 @@ from partgraph import (
     train_toy,
 )
 from partgraph.condnet import (
-    _embed_forward,
+    _chain_forward,
     _toy_forward_cached,
     as_tensor,
     softmax_channels,
@@ -39,6 +39,11 @@ def small_net(conditioning="multi", seed=3):
     return ToyNetConfig(num_stages=2, encoder_channels=(4, 6), decoder_channels=(6, 4),
                         embedding=EmbeddingConfig.toy(2), conditioning=conditioning,
                         seed=seed)
+
+
+def embedding_pyramid(probs, cfg, params):
+    """Activations of every layer of ``cfg`` run as the network's embedding chain."""
+    return [out for _, out, _ in _chain_forward(as_tensor(probs), "emb", cfg.strides, params)]
 
 
 def random_scene(rng, h=8, w=8, num_parts=5):
@@ -124,7 +129,7 @@ def test_embedding_pyramid_shapes():
     params = init_toy_params(
         ToyNetConfig(num_stages=4, encoder_channels=(4, 4, 4, 4),
                      decoder_channels=(4, 4, 4, 4), embedding=cfg), 5, 1)
-    pyramid, _ = _embed_forward(as_tensor(probs), cfg, params, cfg.num_layers)
+    pyramid = embedding_pyramid(probs, cfg, params)
     assert [t.shape for t in pyramid] == [(8, 8, 8), (16, 4, 4), (32, 2, 2), (64, 1, 1)]
 
 
@@ -135,7 +140,7 @@ def test_embedding_zero_input_zero_biases_gives_zero_pyramid():
     probs = ProbMap(np.stack([np.ones((8, 8)), np.zeros((8, 8))], axis=2))
     params = init_toy_params(small_net(), 5, 2)
     params["emb1.w"] = np.zeros_like(params["emb1.w"])
-    pyramid, _ = _embed_forward(as_tensor(probs), cfg, params, cfg.num_layers)
+    pyramid = embedding_pyramid(probs, cfg, params)
     for level in pyramid:
         assert not level.any()
 
@@ -147,7 +152,7 @@ def test_embedding_matches_direct_composition():
     probs /= probs.sum(axis=2, keepdims=True)
     pm = ProbMap(probs)
     params = init_toy_params(small_net(), 5, 2)
-    pyramid, _ = _embed_forward(as_tensor(pm), cfg, params, cfg.num_layers)
+    pyramid = embedding_pyramid(pm, cfg, params)
     x = np.moveaxis(probs, 2, 0)
     s1 = np.maximum(conv2d_forward(x, params["emb1.w"], params["emb1.b"], stride=2), 0.0)
     s2 = np.maximum(conv2d_forward(s1, params["emb2.w"], params["emb2.b"], stride=2), 0.0)
@@ -364,3 +369,33 @@ def test_config_validation():
                  embedding=EmbeddingConfig.toy(2), conditioning="off")
     with pytest.raises(DomainError):
         EmbeddingConfig(kernel_sizes=(4,), strides=(2,), channel_sizes=(8,))  # even kernel
+
+
+@pytest.mark.parametrize("conditioning", ["multi", "single", "off"])
+@pytest.mark.parametrize("extra", [0, 1], ids=["depth-equal", "depth-greater"])
+@pytest.mark.parametrize("stages", [1, 2, 3, 4])
+def test_parameters_are_exactly_the_layers_the_backward_reaches(stages, extra, conditioning):
+    depth = stages + extra
+    net = ToyNetConfig(num_stages=stages, encoder_channels=(3,) * stages,
+                       decoder_channels=(3,) * stages,
+                       embedding=EmbeddingConfig((5, 3, 3, 3, 3)[:depth], (2,) * depth,
+                                                 (4, 4, 6, 6, 8)[:depth]),
+                       conditioning=conditioning)
+    params = init_toy_params(net, 5, 3)
+    x, _, objects = random_scene(np.random.default_rng(13), 16, 16)
+    probs, cache = _toy_forward_cached(x, one_hot(objects, 3), net, params)
+    grads = toy_backward(cache, np.ones_like(probs))
+    assert grads.keys() == params.keys()
+    assert all(grads[name].shape == p.shape for name, p in params.items())
+
+
+def test_three_stages_train_on_the_default_embedding():
+    net = ToyNetConfig(num_stages=3, encoder_channels=(4, 4, 4), decoder_channels=(4, 4, 4))
+    scenes = [random_scene(np.random.default_rng(14))]
+    params, trace = train_toy(scenes, MAPPING, net, LossWeights(), AdjacencyConfig(),
+                              steps=1, lr=0.1)
+    assert len(trace) == 1 and np.isfinite(trace[0].total)
+    assert sorted(name for name in params if name.startswith("emb")) == [
+        f"emb{i}.{kind}" for i in (1, 2, 3) for kind in ("b", "w")]
+    for i in (1, 2, 3):
+        assert params[f"emb{i}.w"].shape[0] == EmbeddingConfig().channel_sizes[i - 1]
