@@ -19,8 +19,8 @@ only at the deepest stage, ``off`` not at all (the object input is then
 irrelevant to the output).
 
 Everything here is deliberately small and explicit: convolutions are SAME
-zero-padded cross-correlations evaluated one kernel tap at a time, each tap
-one tensordot over a whole block, gradients are hand-derived, and training
+zero-padded cross-correlations, each one matrix product of the weights with
+the im2col columns of a whole block, gradients are hand-derived, and training
 is plain gradient descent with a polynomial learning-rate decay of power
 0.9. The single-scene entry points (``conv2d_forward``, ``toy_forward``,
 ``toy_backward``) run the same code on (C, H, W); ``train_toy`` and
@@ -52,17 +52,11 @@ CONDITIONING_MODES = ("multi", "single", "off")
 # so a scene's values do not depend on the block it is in; the backward sums
 # weight and bias gradients over the whole block.
 
-def _same_padding(size: int, kernel: int, stride: int) -> tuple[int, int]:
-    out = -(-size // stride)
-    pad = max((out - 1) * stride + kernel - size, 0)
-    return out, pad
-
-
 def _padded(x: np.ndarray, kh: int, kw: int, stride: int):
     """``x`` zero-padded for a SAME conv, with the output height and width."""
     h, w = x.shape[-2:]
-    oh, pad_h = _same_padding(h, kh, stride)
-    ow, pad_w = _same_padding(w, kw, stride)
+    oh, ow = -(-h // stride), -(-w // stride)
+    pad_h, pad_w = max((oh - 1) * stride + kh - h, 0), max((ow - 1) * stride + kw - w, 0)
     if not pad_h and not pad_w:
         return x, oh, ow
     xp = np.zeros(x.shape[:-2] + (h + pad_h, w + pad_w), dtype=np.float64)
@@ -70,20 +64,39 @@ def _padded(x: np.ndarray, kh: int, kw: int, stride: int):
     return xp, oh, ow
 
 
-def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
-                  stride: int = 1) -> np.ndarray:
-    """SAME-padded cross-correlation of a (C, ..., H, W) tensor, one tensordot per tap."""
-    f, cin, kh, kw = weights.shape
-    if x.shape[0] != cin:
-        raise DomainError(f"conv expects {cin} input channels, got {x.shape[0]}")
+def _check_conv(x: np.ndarray, weights: np.ndarray, bias, stride: int) -> None:
+    if weights.ndim != 4 or x.ndim < 3 or x.shape[0] != weights.shape[1]:
+        raise DomainError(f"conv expects (F, C, kh, kw) weights and a (C, ..., H, W) input, "
+                          f"got {weights.shape} and {x.shape}")
+    if bias is not None and np.shape(bias) != weights.shape[:1]:
+        raise DomainError(f"conv bias must have shape {weights.shape[:1]}, got {np.shape(bias)}")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
-    xp, oh, ow = _padded(x, kh, kw, stride)
-    out = np.zeros((f,) + x.shape[1:-2] + (oh, ow), dtype=np.float64)
+
+
+def _columns(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """The (C*kh*kw, ...*oh*ow) im2col matrix of a padded (C, ..., Hp, Wp) tensor.
+
+    Row (c, ki, kj) holds what tap (ki, kj) of channel c meets at each output pixel.
+    """
+    if kh == kw == stride == 1:
+        return xp.reshape(xp.shape[0], -1)
+    cols = np.empty((xp.shape[0], kh, kw) + xp.shape[1:-2] + (oh, ow), dtype=np.float64)
     for ki in range(kh):
         for kj in range(kw):
-            win = xp[..., ki : ki + stride * oh : stride, kj : kj + stride * ow : stride]
-            out += np.tensordot(weights[:, :, ki, kj], win, axes=([1], [0]))
+            cols[:, ki, kj] = xp[..., ki : ki + stride * oh : stride,
+                                 kj : kj + stride * ow : stride]
+    return cols.reshape(xp.shape[0] * kh * kw, -1)
+
+
+def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
+                  stride: int = 1) -> np.ndarray:
+    """SAME-padded cross-correlation of a (C, ..., H, W) tensor: one product with its columns."""
+    _check_conv(x, weights, bias, stride)
+    f, _, kh, kw = weights.shape
+    xp, oh, ow = _padded(x, kh, kw, stride)
+    out = weights.reshape(f, -1) @ _columns(xp, kh, kw, stride, oh, ow)
+    out = out.reshape((f,) + x.shape[1:-2] + (oh, ow))
     if bias is not None:
         out += bias.reshape((f,) + (1,) * (x.ndim - 1))
     return out
@@ -93,28 +106,31 @@ def _conv_backward(x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray,
                    stride: int = 1, input_grad: bool = True):
     """Gradients of :func:`_conv_forward`: (input grad or None, weight grad, bias grad).
 
-    Weight and bias gradients are summed over every axis but the channels,
-    so over all scenes of a block.
+    The weight gradient is one product with the rebuilt columns. The input
+    gradient of a stride-1 conv with odd kernels is a conv of the output
+    gradient; otherwise each kernel row's taps are added back into the
+    padded input (col2im).
     """
-    f, _, kh, kw = weights.shape
+    _check_conv(x, weights, None, stride)
+    f, cin, kh, kw = weights.shape
     xp, oh, ow = _padded(x, kh, kw, stride)
     if grad_out.shape != (f,) + x.shape[1:-2] + (oh, ow):
         raise DomainError(f"grad shape {grad_out.shape} does not match output "
                           f"{(f,) + x.shape[1:-2] + (oh, ow)}")
-    rest = list(range(1, x.ndim))
-    grad_w = np.zeros_like(weights)
-    grad_xp = np.zeros_like(xp) if input_grad else None
-    for ki in range(kh):
-        for kj in range(kw):
-            rows = slice(ki, ki + stride * oh, stride)
-            cols = slice(kj, kj + stride * ow, stride)
-            grad_w[:, :, ki, kj] = np.tensordot(grad_out, xp[..., rows, cols], axes=(rest, rest))
-            if input_grad:
-                grad_xp[..., rows, cols] += np.tensordot(weights[:, :, ki, kj], grad_out,
-                                                         axes=([0], [0]))
-    grad_b = grad_out.sum(axis=tuple(rest))
+    g = grad_out.reshape(f, -1)
+    grad_w = (g @ _columns(xp, kh, kw, stride, oh, ow).T).reshape(weights.shape)
+    grad_b = g.sum(axis=1)
     if not input_grad:
         return None, grad_w, grad_b
+    if stride == 1 and kh % 2 and kw % 2:  # odd kernels pad both sides alike
+        flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return _conv_forward(grad_out, flipped, None), grad_w, grad_b
+    grad_xp = np.zeros_like(xp)
+    for ki in range(kh):
+        taps = (weights[:, :, ki].reshape(f, -1).T @ g).reshape((cin, kw) + grad_out.shape[1:])
+        for kj in range(kw):
+            grad_xp[..., ki : ki + stride * oh : stride,
+                    kj : kj + stride * ow : stride] += taps[:, kj]
     h, w = x.shape[-2:]
     top, left = (xp.shape[-2] - h) // 2, (xp.shape[-1] - w) // 2
     return grad_xp[..., top : top + h, left : left + w], grad_w, grad_b
@@ -181,9 +197,8 @@ class EmbeddingConfig:
             raise DomainError(f"kernel sizes must be odd, got {self.kernel_sizes}")
         if any(s < 1 for s in self.strides):
             raise DomainError(f"strides must be >= 1, got {self.strides}")
-        object.__setattr__(self, "kernel_sizes", tuple(int(k) for k in self.kernel_sizes))
-        object.__setattr__(self, "strides", tuple(int(s) for s in self.strides))
-        object.__setattr__(self, "channel_sizes", tuple(int(c) for c in self.channel_sizes))
+        for name in ("kernel_sizes", "strides", "channel_sizes"):
+            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
 
     @property
     def num_layers(self) -> int:
@@ -214,16 +229,10 @@ class ToyNetConfig:
     def __post_init__(self):
         if self.num_stages < 1:
             raise DomainError(f"need at least one stage, got {self.num_stages}")
-        if len(self.encoder_channels) != self.num_stages:
-            raise DomainError(
-                f"encoder plan has {len(self.encoder_channels)} entries for "
-                f"{self.num_stages} stages"
-            )
-        if len(self.decoder_channels) != self.num_stages:
-            raise DomainError(
-                f"decoder plan has {len(self.decoder_channels)} entries for "
-                f"{self.num_stages} stages"
-            )
+        for part, plan in (("encoder", self.encoder_channels), ("decoder", self.decoder_channels)):
+            if len(plan) != self.num_stages:
+                raise DomainError(
+                    f"{part} plan has {len(plan)} entries for {self.num_stages} stages")
         if self.conditioning not in CONDITIONING_MODES:
             raise DomainError(
                 f"conditioning must be one of {CONDITIONING_MODES}, got {self.conditioning!r}"
@@ -342,15 +351,12 @@ def _check_input(x: np.ndarray, object_probs: ProbMap, net: ToyNetConfig) -> Non
         raise DomainError(f"input image must be (3, H, W), got shape {x.shape}")
     _, h, w = x.shape
     if (object_probs.height, object_probs.width) != (h, w):
-        raise DomainError(
-            f"object probabilities are {object_probs.height}x{object_probs.width} "
-            f"but the image is {h}x{w}"
-        )
+        raise DomainError(f"object probabilities are {object_probs.height}x"
+                          f"{object_probs.width} but the image is {h}x{w}")
     scale = 2 ** net.num_stages
     if h % scale or w % scale:
-        raise DomainError(
-            f"encoder stage {net.num_stages}: input {h}x{w} is not divisible by {scale}"
-        )
+        raise DomainError(f"encoder stage {net.num_stages}: input {h}x{w} is not divisible "
+                          f"by {scale}")
 
 
 def _forward(x: np.ndarray, objects: np.ndarray, net: ToyNetConfig,
@@ -370,25 +376,19 @@ def _forward(x: np.ndarray, objects: np.ndarray, net: ToyNetConfig,
         cache["emb"] = _chain_forward(objects, "emb", net.embedding.strides[:k], params)
     pyramid = cache["pyramid"] = [out for _, out, _ in cache.get("emb", [])]
 
-    dec_cache = []
+    dec_cache = cache["dec"] = []
     for i in range(1, k + 1):
-        upsampled = i > 1
-        if upsampled:
+        if i > 1:
             h = upsample2(h)
         out = np.maximum(_conv_forward(h, params[f"dec{i}.w"], params[f"dec{i}.b"]), 0.0)
+        dec_cache.append((h, out))
+        h = out
         if net.stage_conditioned(i):
             level = pyramid[k - i]
             if level.shape[-2:] != out.shape[-2:]:
-                raise DomainError(
-                    f"decoder stage {i}: features are {out.shape[-2:]} but conditioning "
-                    f"level is {level.shape[-2:]}"
-                )
-            merged = np.concatenate([out, level], axis=0)
-        else:
-            merged = out
-        dec_cache.append((h, out, out.shape[0], upsampled))
-        h = merged
-    cache["dec"] = dec_cache
+                raise DomainError(f"decoder stage {i}: features are {out.shape[-2:]} but "
+                                  f"conditioning level is {level.shape[-2:]}")
+            h = np.concatenate([out, level], axis=0)
 
     probs = softmax_channels(_conv_forward(h, params["head.w"], params["head.b"]))
     cache["head_in"] = h
@@ -431,13 +431,13 @@ def toy_backward(cache: dict, grad_probs: np.ndarray) -> dict[str, np.ndarray]:
     pyramid_grads: dict[int, np.ndarray] = {}
     dec_cache = cache.pop("dec")
     for i in range(k, 0, -1):
-        h_in, out, own_channels, upsampled = dec_cache.pop()
+        h_in, out = dec_cache.pop()
         if net.stage_conditioned(i):
-            pyramid_grads[k - i] = g[own_channels:]
-            g = g[:own_channels]
+            pyramid_grads[k - i] = g[out.shape[0]:]
+            g = g[:out.shape[0]]
         g, grads[f"dec{i}.w"], grads[f"dec{i}.b"] = _conv_backward(h_in, params[f"dec{i}.w"],
                                                                    g * (out > 0.0))
-        if upsampled:
+        if i > 1:
             g = upsample2_backward(g)
 
     _chain_backward(cache.pop("enc"), "enc", params, grads, g)
@@ -453,12 +453,12 @@ def toy_backward(cache: dict, grad_probs: np.ndarray) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 # Scenes per block of the training forward and backward. A block runs each
-# conv tap as one tensordot over all its scenes, but keeps every scene's
+# conv as one matrix product over all its scenes, but keeps every scene's
 # activations live until its backward. On the 20-scene 32x32 set (2-core
-# x86 VM, numpy 2.4, bench/run.py train_toy32, one run each), blocks of 1, 2,
-# 4, 5, 10 and 20 scenes took 134, 89, 74, 68, 67 and 66 ms per step at
-# reference speed with peak RSS 44.3, 44.6, 45.6, 46.2, 49.2 and 55.0 MB.
-# 4 keeps most of the gain within 3% of the memory of one scene at a time.
+# x86 VM, numpy 2.4, bench/run.py train_toy32, mean of two runs), blocks of
+# 1, 2, 4, 5, 10 and 20 scenes took 60.5, 54.6, 50.0, 48.7, 50.0 and 51.6 ms
+# per step at reference speed with peak RSS 44.3, 45.5, 47.5, 48.6, 53.4 and
+# 63.6 MB. 4 keeps most of the gain within 7% of the memory of one scene.
 _TRAIN_BLOCK = 4
 
 

@@ -1,10 +1,11 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is written directly from the definitions (pixel-pair
-distance scans, per-pixel loops, flat sums) and deliberately shares no code
-with the package's vectorized implementations. The training and held-out
-oracles are the exception: they are the per-scene loops that the blocked
-engine replaced, built on the package's single-scene entry points.
+distance scans, per-pixel loops, per-tap conv loops, flat sums) and
+deliberately shares no code with the package's vectorized implementations.
+The training and held-out oracles are the exception: they are the per-scene
+loops that the blocked engine replaced, built on the package's single-scene
+entry points.
 """
 
 from __future__ import annotations
@@ -238,6 +239,55 @@ def soft_dilate_backward_oracle(grad_out: np.ndarray, cache) -> np.ndarray:
         sl_out, sl_in = _shift_slices(shape, dy, dx)
         grad_in[sl_in] += g[sl_out] * np.exp(beta * (x[sl_in] - peak[sl_out])) / expsum[sl_out]
     return grad_in
+
+
+def _same_padded(x: np.ndarray, kh: int, kw: int, stride: int):
+    """``x`` zero-padded for a SAME conv (the odd pixel of padding goes last), with (oh, ow)."""
+    h, w = x.shape[-2:]
+    oh, ow = -(-h // stride), -(-w // stride)
+    pad_h = max((oh - 1) * stride + kh - h, 0)
+    pad_w = max((ow - 1) * stride + kw - w, 0)
+    pads = [(0, 0)] * (x.ndim - 2) + [(pad_h // 2, pad_h - pad_h // 2),
+                                      (pad_w // 2, pad_w - pad_w // 2)]
+    return np.pad(x, pads), oh, ow
+
+
+def conv_forward_oracle(x: np.ndarray, weights: np.ndarray, bias=None,
+                        stride: int = 1) -> np.ndarray:
+    """SAME cross-correlation of a (C, ..., H, W) tensor, one tensordot per kernel tap."""
+    f, _, kh, kw = weights.shape
+    xp, oh, ow = _same_padded(x, kh, kw, stride)
+    out = np.zeros((f,) + x.shape[1:-2] + (oh, ow))
+    for ki in range(kh):
+        for kj in range(kw):
+            win = xp[..., ki : ki + stride * oh : stride, kj : kj + stride * ow : stride]
+            out += np.tensordot(weights[:, :, ki, kj], win, axes=([1], [0]))
+    if bias is not None:
+        out += bias.reshape((f,) + (1,) * (x.ndim - 1))
+    return out
+
+
+def conv_backward_oracle(x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray,
+                         stride: int = 1, input_grad: bool = True):
+    """(input grad or None, weight grad, bias grad) of :func:`conv_forward_oracle`, tap by tap."""
+    _, _, kh, kw = weights.shape
+    xp, oh, ow = _same_padded(x, kh, kw, stride)
+    rest = list(range(1, x.ndim))
+    grad_w = np.zeros_like(weights)
+    grad_xp = np.zeros_like(xp)
+    for ki in range(kh):
+        for kj in range(kw):
+            rows = slice(ki, ki + stride * oh, stride)
+            cols = slice(kj, kj + stride * ow, stride)
+            grad_w[:, :, ki, kj] = np.tensordot(grad_out, xp[..., rows, cols], axes=(rest, rest))
+            grad_xp[..., rows, cols] += np.tensordot(weights[:, :, ki, kj], grad_out,
+                                                     axes=([0], [0]))
+    grad_b = grad_out.sum(axis=tuple(rest))
+    if not input_grad:
+        return None, grad_w, grad_b
+    h, w = x.shape[-2:]
+    top, left = (xp.shape[-2] - h) // 2, (xp.shape[-1] - w) // 2
+    return grad_xp[..., top : top + h, left : left + w], grad_w, grad_b
 
 
 def train_step_oracle(scenes, mapping, net, params, weights, adj_cfg):

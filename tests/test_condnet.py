@@ -21,6 +21,8 @@ from partgraph import (
 )
 from partgraph.condnet import (
     _chain_forward,
+    _conv_backward,
+    _conv_forward,
     _toy_forward_cached,
     as_tensor,
     softmax_channels,
@@ -30,7 +32,7 @@ from partgraph.condnet import (
 )
 from partgraph.losses import total_loss
 
-from oracles import rel_err
+from oracles import conv_backward_oracle, conv_forward_oracle, rel_err
 
 MAPPING = PartsToObjectsMapping((0, 1, 3, 5))
 
@@ -113,6 +115,52 @@ def test_conv_gradients_match_finite_differences():
     assert worst < 1e-4
 
 
+@pytest.mark.parametrize("input_grad", [True, False], ids=["input-grad", "no-input-grad"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["scene", "block"])
+@pytest.mark.parametrize("size", [(9, 7), (8, 10)], ids=["odd", "even"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [1, 3, 4, 5, 7])
+def test_conv_kernels_match_the_tap_loop_oracle(kernel, stride, size, lead, input_grad):
+    # positive operands: no sum cancels, so 1e-12 bounds any reordering of it
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + size[0])
+    x = rng.random((2,) + lead + size) + 0.5
+    weights = rng.random((4, 2, kernel, kernel)) + 0.5
+    bias = rng.random(4)
+    out = _conv_forward(x, weights, bias, stride)
+    want = conv_forward_oracle(x, weights, bias, stride)
+    assert out.shape == want.shape == (4,) + lead + tuple(-(-n // stride) for n in size)
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=0.0)
+
+    grad_out = rng.random(out.shape) + 0.5
+    got = _conv_backward(x, weights, grad_out, stride, input_grad=input_grad)
+    want = conv_backward_oracle(x, weights, grad_out, stride, input_grad=input_grad)
+    if input_grad:
+        assert got[0].shape == x.shape
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
+    else:
+        assert got[0] is None and want[0] is None
+    for g, w in zip(got[1:], want[1:]):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: conv2d_backward(np.ones((3, 8, 8)), np.ones((4, 2, 3, 3)), np.ones((4, 8, 8))),
+     "input"),
+    (lambda: conv2d_forward(np.ones((3, 8, 8)), np.ones((4, 3, 3, 3)), np.ones(5)), "bias"),
+    (lambda: conv2d_forward(np.ones((3, 8, 8)), np.ones((4, 3, 3)), None), "weights"),
+    (lambda: conv2d_forward(np.ones((3, 8, 8)), np.ones((4, 3, 3, 3)), None, stride=0),
+     "stride"),
+    (lambda: conv2d_backward(np.ones((3, 8, 8)), np.ones((4, 3, 3, 3)), np.ones((4, 8, 8)),
+                             stride=0), "stride"),
+    (lambda: _conv_forward(np.ones((3, 2, 8, 8)), np.ones((4, 2, 3, 3)), None), "input"),
+], ids=["backward-channels", "forward-bias", "forward-weights", "forward-stride",
+        "backward-stride", "block-channels"])
+def test_conv_entries_reject_mismatched_operands(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 def test_upsample_round_trip_shapes():
     rng = np.random.default_rng(3)
     x = rng.random((2, 3, 4))
@@ -171,7 +219,7 @@ def decoder_stages(net, size=8, seed=12):
     params = init_toy_params(net, 5, 3)
     x, _, objects = random_scene(rng, size, size)
     _, cache = _toy_forward_cached(x, one_hot(objects, 3), net, params)
-    inputs = [h[:, ::2, ::2] for h, _, _, _ in cache["dec"][1:]]
+    inputs = [h[:, ::2, ::2] for h, _ in cache["dec"][1:]]
     return cache, inputs + [cache["head_in"]]
 
 
@@ -180,7 +228,8 @@ def test_concat_condition_channel_order():
     cache, outputs = decoder_stages(net)
     k = net.num_stages
     for i, out in enumerate(outputs, start=1):
-        _, z, own, _ = cache["dec"][i - 1]
+        _, z = cache["dec"][i - 1]
+        own = z.shape[0]
         assert own == net.decoder_channels[i - 1]
         assert out.shape[0] == own + net.embedding.channel_sizes[k - i]
         assert np.array_equal(out[:own], np.maximum(z, 0.0))
@@ -191,8 +240,8 @@ def test_concat_condition_off_is_identity():
     net = small_net(conditioning="off")
     cache, outputs = decoder_stages(net)
     assert cache["pyramid"] == []
-    for (_, z, own, _), out in zip(cache["dec"], outputs):
-        assert out.shape[0] == own
+    for (_, z), out in zip(cache["dec"], outputs):
+        assert out.shape[0] == z.shape[0]
         assert np.array_equal(out, np.maximum(z, 0.0))
 
 

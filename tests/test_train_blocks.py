@@ -200,6 +200,30 @@ def test_total_loss_rejects_a_wrong_reference():
         total_loss(pred, parts, objects, mapping, CFG, WEIGHTS, reference=unnormalized)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 20])
+def test_criterion_6_net_scene_is_bit_identical_alone_and_in_any_block(monkeypatch, block):
+    # the net and 20-scene 32x32 set of acceptance criterion 6, whose 7x7 emb1
+    # makes the widest column matrix; a block of 1 is the (C, 1, H, W) layout
+    spec = SceneSpec(width=32, height=32, num_objects=3, parts_per_object=(2, 2, 2),
+                     seed=100)
+    scenes, mapping = generate_dataset(spec, 20)
+    net = ToyNetConfig(num_stages=2, encoder_channels=(8, 16), decoder_channels=(16, 8),
+                       embedding=EmbeddingConfig.toy(2), conditioning="multi", seed=0)
+    params = init_toy_params(net, mapping.num_parts, mapping.num_objects, seed=7)
+    monkeypatch.setattr(condnet, "_TRAIN_BLOCK", block)
+    blocks = _training_blocks(scenes, mapping, net, CFG)
+    assert [len(targets) for _, _, targets in blocks] == [block] * (20 // block) + (
+        [20 % block] if 20 % block else [])
+    scene_iter = iter(scenes)
+    for images, objs, targets in blocks:
+        probs, _ = _forward(images, objs, net, params)
+        for j in range(len(targets)):
+            rgb, _, objects = next(scene_iter)
+            alone, _ = _toy_forward_cached(rgb, one_hot(objects, mapping.num_objects), net,
+                                           params)
+            assert np.array_equal(probs[:, j], alone)
+
+
 def _train_peak_mib(scenes, mapping):
     net = ToyNetConfig(num_stages=2, encoder_channels=(8, 16), decoder_channels=(16, 8),
                        embedding=EmbeddingConfig.toy(2), conditioning="multi", seed=0)
@@ -212,8 +236,8 @@ def _train_peak_mib(scenes, mapping):
 
 
 def test_training_memory_is_bounded_by_the_block(monkeypatch):
-    # the 20-scene 32x32 set of acceptance criterion 6; measured peaks: 3.4 MiB
-    # in blocks of 4 (4.3 MiB as the first call in a process) and 10.7 MiB
+    # the 20-scene 32x32 set of acceptance criterion 6; measured peaks: 4.9 MiB
+    # in blocks of 4 (6.0 MiB as the first call in a process) and 18.9 MiB
     # with all 20 scenes in one block
     spec = SceneSpec(width=32, height=32, num_objects=3, parts_per_object=(2, 2, 2),
                      seed=100)
