@@ -55,8 +55,11 @@ def main():
     reference = normalize_rows(adjacency_from_labels(gt_parts, 3, smooth_cfg))
 
     def objective(x):
-        ce, _ = _cross_entropy_raw(x, gt_parts.labels)
-        rec, _ = _reconstruction_raw(x, gt_objects.labels, mapping)
+        # the kernels take a (C, N, H, W) block and add their gradients into a buffer
+        block = np.moveaxis(x, 2, 0)[:, None]
+        discarded = np.zeros_like(block)
+        ce = _cross_entropy_raw(block, gt_parts.labels[None], discarded)
+        rec = _reconstruction_raw(block, gt_objects.labels[None], mapping, discarded)
         return ce + weights.lambda1 * rec + weights.lambda2 * gm_value(x, reference, smooth_cfg)
 
     h = 1e-4

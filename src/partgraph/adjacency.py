@@ -21,7 +21,6 @@ and are thin wrappers over the pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .morphology import (
     dilate_array,
     soft_dilate_backward,
     soft_dilate_forward,
+    whole_number,
 )
 
 WEIGHTINGS = ("weighted", "unweighted")
@@ -102,8 +102,8 @@ class AdjacencyConfig:
     beta: float = 20.0
 
     def __post_init__(self):
-        if self.distance_threshold < 0:
-            raise DomainError(f"distance threshold must be >= 0, got {self.distance_threshold}")
+        object.__setattr__(self, "distance_threshold",
+                           whole_number(self.distance_threshold, "distance threshold"))
         if self.weighting not in WEIGHTINGS:
             raise DomainError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
         check_beta(self.beta)
@@ -112,7 +112,7 @@ class AdjacencyConfig:
 
     @property
     def dilation_radius(self) -> int:
-        return ceil(self.distance_threshold / 2)
+        return (self.distance_threshold + 1) // 2
 
     @property
     def element(self) -> StructuringElement:

@@ -25,7 +25,9 @@ is plain gradient descent with a polynomial learning-rate decay of power
 0.9. The single-scene entry points (``conv2d_forward``, ``toy_forward``,
 ``toy_backward``) run the same code on (C, H, W); ``train_toy`` and
 ``mean_gm_loss`` run their scenes in blocks, and a scene's probabilities do
-not depend on its block.
+not depend on its block. Training takes the loss of each (C, N, H, W) block
+as it comes out of the network, into one gradient buffer per block; a
+scene's gradient does not depend on its block either.
 Given a seed, runs are bit-reproducible.
 """
 
@@ -38,7 +40,8 @@ import numpy as np
 from .adjacency import AdjacencyConfig, _gm_forward
 from .core import PartsToObjectsMapping, ProbMap, one_hot
 from .errors import DomainError, NumericError
-from .losses import LossReport, LossWeights, reference_graph, total_loss
+from .losses import LossReport, LossWeights, _block_loss, reference_graph
+from .losses import total_loss  # noqa: F401  (bench/run.py --trace 1 patches this name here)
 from .rng import Xorshift64Star
 
 CONDITIONING_MODES = ("multi", "single", "off")
@@ -499,15 +502,10 @@ def _train_step(blocks, mapping: PartsToObjectsMapping, net: ToyNetConfig,
         probs, cache = _forward(images, objs, net, params)
         if not np.isfinite(probs).all():
             raise NumericError(f"non-finite activations at step {t}")
-        grad_probs = np.empty_like(probs)
-        for j, (parts, objects, reference) in enumerate(targets):
-            pm = ProbMap(np.moveaxis(probs[:, j], 0, 2))
-            report, grad = total_loss(pm, parts, objects, mapping, adj_cfg, weights,
-                                      reference=reference)
-            sums[0] += report.ce
-            sums[1] += report.rec
-            sums[2] += report.gm
-            grad_probs[:, j] = np.moveaxis(grad, 2, 0)
+        grad_probs = np.zeros_like(probs)
+        for k, value in enumerate(_block_loss(probs, targets, mapping, adj_cfg, weights,
+                                              grad_probs)):
+            sums[k] += value
         del probs
         for name, g in toy_backward(cache, grad_probs).items():
             grad_acc[name] += g

@@ -232,10 +232,11 @@ def sum_probability(pred: ProbMap, mapping: PartsToObjectsMapping) -> ProbMap:
             f"prediction has {pred.num_classes} channels but mapping covers "
             f"{mapping.num_parts} parts"
         )
-    return ProbMap(_sum_probability_array(pred.probs, mapping))
+    return ProbMap(np.moveaxis(_sum_probability_array(np.moveaxis(pred.probs, 2, 0), mapping),
+                               0, 2))
 
 
 def _sum_probability_array(probs: np.ndarray, mapping: PartsToObjectsMapping) -> np.ndarray:
-    """Sum the part channels (last axis) of an array into its object channels."""
+    """Sum the part channels (first axis) of a channel-first array into its object channels."""
     starts = np.asarray(mapping.boundaries[:-1], dtype=np.intp)
-    return np.add.reduceat(probs, starts, axis=-1)
+    return np.add.reduceat(probs, starts, axis=0)

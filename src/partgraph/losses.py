@@ -11,9 +11,11 @@ plus its gradient with respect to every probability entry.
   between parts of the same object is invisible to this term; only mass
   placed outside the true object is penalized.
 - ``total_loss``: cross-entropy plus lambda1 * reconstruction plus
-  lambda2 * graph-matching, with the combined gradient. Its reference graph
-  (``reference_graph``) depends only on the part labels, so a caller that
-  reuses the same ground truth builds it once and passes it in.
+  lambda2 * graph-matching, with the combined gradient.
+
+The public entries check an (H, W, C) ``ProbMap``; every kernel below them
+takes a (C, N, H, W) block of N scenes, the layout the network emits, and
+adds its gradient into one buffer the caller owns.
 
 Pixel aggregation is the mean, so loss magnitudes are independent of image
 size. Probabilities are clamped below at LOG_EPS before the log.
@@ -28,14 +30,17 @@ import numpy as np
 from .adjacency import (
     AdjacencyConfig,
     AdjacencyMatrix,
+    _gm_backward,
+    _gm_forward,
     adjacency_from_labels,
-    gm_value_and_grad,
+    gm_value_and_grad,  # noqa: F401  (bench/run.py --trace 1 patches this name here)
     normalize_rows,
 )
 from .core import (
     LabelMap,
     PartsToObjectsMapping,
     ProbMap,
+    _check_labels_below,
     _sum_probability_array,
     project_labels,
 )
@@ -71,35 +76,52 @@ class LossReport:
         return cls(ce=ce, rec=rec, gm=gm, total=ce + weights.lambda1 * rec + weights.lambda2 * gm)
 
 
-def _check_same_shape(pred: ProbMap, gt: LabelMap, what: str) -> None:
+def _check_labels(pred: ProbMap, gt: LabelMap, num_labels: int) -> None:
+    """Ground truth of the prediction's size, with labels below ``num_labels``."""
     if (pred.height, pred.width) != (gt.height, gt.width):
         raise DomainError(
-            f"{what}: prediction is {pred.height}x{pred.width} but ground truth is "
+            f"prediction is {pred.height}x{pred.width} but ground truth is "
             f"{gt.height}x{gt.width}"
         )
+    _check_labels_below(gt.labels, num_labels)
+
+
+def _check_objects(pred: ProbMap, gt_objects: LabelMap, mapping: PartsToObjectsMapping) -> None:
+    """The prediction, object labels and mapping :func:`reconstruction_loss` accepts."""
+    if pred.num_classes != mapping.num_parts:
+        raise DomainError(
+            f"prediction has {pred.num_classes} channels but the mapping covers "
+            f"{mapping.num_parts} parts"
+        )
+    _check_labels(pred, gt_objects, mapping.num_objects)
+
+
+def _one_scene(pred: ProbMap, kernel, *args):
+    """``kernel(block, *args, grad)`` on ``pred`` as one scene: (value, (H, W, C) gradient)."""
+    grad = np.zeros((pred.num_classes, 1, pred.height, pred.width))
+    value = kernel(np.moveaxis(pred.probs, 2, 0)[:, None], *args, grad)
+    return value, np.moveaxis(grad[:, 0], 0, 2)
 
 
 def cross_entropy(pred: ProbMap, gt: LabelMap) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood of the true class, with its gradient."""
-    _check_same_shape(pred, gt, "cross_entropy")
-    if gt.labels.max() >= pred.num_classes:
-        raise DomainError(
-            f"cross_entropy: label {gt.labels.max()} out of range for "
-            f"{pred.num_classes} channels"
-        )
-    return _cross_entropy_raw(pred.probs, gt.labels)
+    _check_labels(pred, gt, pred.num_classes)
+    return _one_scene(pred, _cross_entropy_raw, gt.labels[None])
 
 
-def _cross_entropy_raw(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    h, w, c = probs.shape
-    npix = h * w
-    flat = probs.reshape(npix, c)
-    true_p = flat[np.arange(npix), labels.ravel()]
-    loss = float(-np.log(np.maximum(true_p, LOG_EPS)).mean() + 0.0)  # +0.0 drops -0.0
-    grad = np.zeros_like(flat)
-    slope = np.where(true_p > LOG_EPS, -1.0 / (npix * np.maximum(true_p, LOG_EPS)), 0.0)
-    grad[np.arange(npix), labels.ravel()] = slope
-    return loss, grad.reshape(h, w, c)
+def _cross_entropy_raw(probs: np.ndarray, labels: np.ndarray, grad: np.ndarray) -> float:
+    """Summed per-scene cross-entropy of a (C, N, H, W) block against (N, H, W) labels.
+
+    The gradient is added into ``grad``, which has the block's shape.
+    """
+    index = labels[None]
+    true_p = np.take_along_axis(probs, index, axis=0)[0]
+    clamped = np.maximum(true_p, LOG_EPS)
+    npix = true_p[0].size
+    per_scene = -np.log(clamped).reshape(len(true_p), npix).mean(axis=1)
+    slope = np.where(true_p > LOG_EPS, -1.0 / (npix * clamped), 0.0)
+    np.put_along_axis(grad, index, np.take_along_axis(grad, index, axis=0) + slope, axis=0)
+    return float(per_scene.sum() + 0.0)  # +0.0 drops -0.0
 
 
 def reconstruction_loss(pred: ProbMap, gt_objects: LabelMap,
@@ -109,26 +131,23 @@ def reconstruction_loss(pred: ProbMap, gt_objects: LabelMap,
     The gradient of the object-channel sum is 1 toward each of its part
     channels, so every part of the true object receives the same slope.
     """
-    if pred.num_classes != mapping.num_parts:
-        raise DomainError(
-            f"reconstruction_loss: prediction has {pred.num_classes} channels but the "
-            f"mapping covers {mapping.num_parts} parts"
-        )
-    _check_same_shape(pred, gt_objects, "reconstruction_loss")
-    if gt_objects.labels.max() >= mapping.num_objects:
-        raise DomainError(
-            f"reconstruction_loss: object label {gt_objects.labels.max()} out of range "
-            f"for {mapping.num_objects} objects"
-        )
-    return _reconstruction_raw(pred.probs, gt_objects.labels, mapping)
+    _check_objects(pred, gt_objects, mapping)
+    return _one_scene(pred, _reconstruction_raw, gt_objects.labels[None], mapping)
 
 
 def _reconstruction_raw(probs: np.ndarray, object_labels: np.ndarray,
-                        mapping: PartsToObjectsMapping) -> tuple[float, np.ndarray]:
+                        mapping: PartsToObjectsMapping, grad: np.ndarray,
+                        scale: float = 1.0) -> float:
+    """Summed per-scene reconstruction loss of a (C, N, H, W) block against (N, H, W) objects.
+
+    ``scale`` times the gradient is added into ``grad``, which has the block's shape.
+    """
     summed = _sum_probability_array(probs, mapping)
-    loss, grad_summed = _cross_entropy_raw(summed, object_labels)
-    grad = grad_summed[:, :, mapping.object_lookup()]
-    return loss, grad
+    grad_summed = np.zeros_like(summed)
+    loss = _cross_entropy_raw(summed, object_labels, grad_summed)
+    grad_summed *= scale
+    grad += grad_summed[mapping.object_lookup()]
+    return loss
 
 
 def reference_graph(gt_parts: LabelMap, num_parts: int,
@@ -137,39 +156,45 @@ def reference_graph(gt_parts: LabelMap, num_parts: int,
     return normalize_rows(adjacency_from_labels(gt_parts, num_parts, cfg))
 
 
+def _block_loss(probs: np.ndarray, targets, mapping: PartsToObjectsMapping,
+                cfg: AdjacencyConfig, weights: LossWeights, grad: np.ndarray):
+    """Summed (ce, rec, gm) of a (C, N, H, W) block and each scene's (parts, objects, reference).
+
+    The weighted gradient is added into ``grad`` term by term, in the order of
+    ce + lambda1 * rec + lambda2 * gm.
+    """
+    ce = _cross_entropy_raw(probs, np.stack([p.labels for p, _, _ in targets]), grad)
+    rec = _reconstruction_raw(probs, np.stack([o.labels for _, o, _ in targets]), mapping,
+                              grad, weights.lambda1)
+    gm = 0.0
+    for j, (_, _, reference) in enumerate(targets):
+        _, loss, cache = _gm_forward(probs[:, j], cfg, reference)
+        grad[:, j] += weights.lambda2 * _gm_backward(cache)
+        gm += loss
+    return ce, rec, gm
+
+
 def total_loss(pred: ProbMap, gt_parts: LabelMap, gt_objects: LabelMap | None,
                mapping: PartsToObjectsMapping, cfg: AdjacencyConfig,
-               weights: LossWeights,
-               reference: AdjacencyMatrix | None = None) -> tuple[LossReport, np.ndarray]:
+               weights: LossWeights) -> tuple[LossReport, np.ndarray]:
     """Full training objective and its gradient with respect to the probabilities.
 
     ``gt_objects`` may be supplied independently; when None it is projected
     from ``gt_parts`` through the mapping. The reference adjacency graph is
     built from the discrete part labels, the predicted one from the soft
-    probability channels per ``cfg``. A caller that reuses the same ground
-    truth may pass ``reference``, the :func:`reference_graph` of ``gt_parts``,
-    built once; only its kind and size are checked.
+    probability channels per ``cfg``.
     """
     if gt_objects is None:
         gt_objects = project_labels(gt_parts, mapping)
+    term = "cross-entropy"
     try:
-        ce, grad_ce = cross_entropy(pred, gt_parts)
+        _check_labels(pred, gt_parts, pred.num_classes)
+        term = "reconstruction"
+        _check_objects(pred, gt_objects, mapping)
+        term = "graph-matching"
+        reference = reference_graph(gt_parts, mapping.num_parts, cfg)
+        (ce, rec, gm), grad = _one_scene(pred, _block_loss, [(gt_parts, gt_objects, reference)],
+                                         mapping, cfg, weights)
     except DomainError as exc:
-        raise DomainError(f"cross-entropy term: {exc}") from exc
-    try:
-        rec, grad_rec = reconstruction_loss(pred, gt_objects, mapping)
-    except DomainError as exc:
-        raise DomainError(f"reconstruction term: {exc}") from exc
-    try:
-        if reference is None:
-            reference = reference_graph(gt_parts, mapping.num_parts, cfg)
-        gm, grad_gm = gm_value_and_grad(pred.probs, reference, cfg)
-    except DomainError as exc:
-        raise DomainError(f"graph-matching term: {exc}") from exc
-    report = LossReport.combine(ce, rec, gm, weights)
-    # in place, in the order of ce + lambda1 * rec + lambda2 * gm
-    grad_rec *= weights.lambda1
-    grad_gm *= weights.lambda2
-    grad_ce += grad_rec
-    grad_ce += grad_gm
-    return report, grad_ce
+        raise DomainError(f"{term} term: {exc}") from exc
+    return LossReport.combine(ce, rec, gm, weights), grad

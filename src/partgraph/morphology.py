@@ -46,9 +46,14 @@ class StructuringElement:
     def __post_init__(self):
         if self.shape not in ELEMENT_SHAPES:
             raise DomainError(f"element shape must be one of {ELEMENT_SHAPES}, got {self.shape!r}")
-        if int(self.radius) != self.radius or self.radius < 0:
-            raise DomainError(f"radius must be a nonnegative integer, got {self.radius}")
-        object.__setattr__(self, "radius", int(self.radius))
+        object.__setattr__(self, "radius", whole_number(self.radius, "radius"))
+
+
+def whole_number(value, what: str) -> int:
+    """``value`` as an int if it is a whole number >= 0, else a DomainError (NaN, inf too)."""
+    if not (0 <= value < np.inf and value == int(value)):
+        raise DomainError(f"{what} must be a nonnegative integer, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ distance scans, per-pixel loops, per-tap conv loops, flat sums) and
 deliberately shares no code with the package's vectorized implementations.
 The training and held-out oracles are the exception: they are the per-scene
 loops that the blocked engine replaced, built on the package's single-scene
-entry points.
+entry points. So are the two adapters that run a channel-first loss kernel on
+one unchecked (H, W, C) scene, for finite-difference checks off the simplex.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import numpy as np
 from partgraph import ProbMap, init_toy_params, one_hot, toy_forward
 from partgraph.adjacency import gm_value
 from partgraph.condnet import _toy_forward_cached, toy_backward
-from partgraph.losses import LossReport, reference_graph, total_loss
+from partgraph.losses import (
+    LossReport,
+    _cross_entropy_raw,
+    _reconstruction_raw,
+    reference_graph,
+    total_loss,
+)
 
 
 def pixel_distance(dy: int, dx: int, shape: str) -> int:
@@ -333,3 +340,20 @@ def mean_gm_loss_oracle(scenes, mapping, net, params, adj_cfg):
         reference = reference_graph(parts, mapping.num_parts, adj_cfg)
         total += gm_value(pred.probs, reference, adj_cfg)
     return total / len(scenes)
+
+
+def _scene_block(a: np.ndarray) -> np.ndarray:
+    return np.moveaxis(a, 2, 0)[:, None]
+
+
+def cross_entropy_kernel(probs: np.ndarray, labels: np.ndarray):
+    """``_cross_entropy_raw`` on one (H, W, C) scene: (loss, (H, W, C) gradient)."""
+    grad = np.zeros_like(probs)
+    return _cross_entropy_raw(_scene_block(probs), labels[None], _scene_block(grad)), grad
+
+
+def reconstruction_kernel(probs: np.ndarray, objects: np.ndarray, mapping):
+    """``_reconstruction_raw`` on one (H, W, C) scene: (loss, (H, W, C) gradient)."""
+    grad = np.zeros_like(probs)
+    loss = _reconstruction_raw(_scene_block(probs), objects[None], mapping, _scene_block(grad))
+    return loss, grad

@@ -43,9 +43,17 @@ from partgraph import (
 )
 from partgraph.adjacency import gm_value, gm_value_and_grad
 from partgraph.condnet import _toy_forward_cached, toy_backward
-from partgraph.losses import _cross_entropy_raw, _reconstruction_raw, total_loss
+from partgraph.losses import total_loss
 
-from oracles import dilate_intersect_oracle, fd_check, random_probs, rel_err, sample_coords
+from oracles import (
+    cross_entropy_kernel,
+    dilate_intersect_oracle,
+    fd_check,
+    random_probs,
+    reconstruction_kernel,
+    rel_err,
+    sample_coords,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,13 +102,13 @@ def test_criterion_2_gradients_match_finite_differences():
             objects = mapping.object_lookup()[parts]
             coords = sample_coords(rng, probs.shape, 20)
 
-            _, g_ce = _cross_entropy_raw(probs, parts)
+            _, g_ce = cross_entropy_kernel(probs, parts)
             worst_ce = max(worst_ce, fd_check(
-                lambda x: _cross_entropy_raw(x, parts)[0], probs, g_ce, coords))
+                lambda x: cross_entropy_kernel(x, parts)[0], probs, g_ce, coords))
 
-            _, g_rec = _reconstruction_raw(probs, objects, mapping)
+            _, g_rec = reconstruction_kernel(probs, objects, mapping)
             worst_rec = max(worst_rec, fd_check(
-                lambda x: _reconstruction_raw(x, objects, mapping)[0], probs, g_rec, coords))
+                lambda x: reconstruction_kernel(x, objects, mapping)[0], probs, g_rec, coords))
 
             reference = normalize_rows(adjacency_from_labels(
                 LabelMap(parts), c, cfg))

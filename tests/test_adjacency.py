@@ -53,6 +53,18 @@ def test_config_invariants():
         AdjacencyConfig(weighting="sparse")
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 2.5])
+def test_config_rejects_a_threshold_that_is_not_a_whole_number(threshold):
+    with pytest.raises(DomainError, match="distance threshold must be a nonnegative integer"):
+        AdjacencyConfig(distance_threshold=threshold).element
+
+
+def test_config_takes_a_whole_float_threshold_as_an_int():
+    cfg = AdjacencyConfig(distance_threshold=5.0)
+    assert cfg.distance_threshold == 5 and isinstance(cfg.distance_threshold, int)
+    assert cfg.dilation_radius == 3
+
+
 def test_config_rejects_beta_outside_the_fixed_shift_range():
     for beta in (0.0, -2.0, float("nan"), float("inf"), float("-inf"), 701.0):
         with pytest.raises(DomainError):

@@ -28,6 +28,12 @@ def test_element_neighborhoods():
         StructuringElement("square", -1)
 
 
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 2.5])
+def test_element_rejects_a_radius_that_is_not_a_whole_number(radius):
+    with pytest.raises(DomainError, match="radius must be a nonnegative integer"):
+        StructuringElement("square", radius)
+
+
 def test_dilate_empty_and_identity():
     empty = BinaryMask(np.zeros((4, 5), dtype=bool))
     for shape in ("square", "diamond"):

@@ -15,10 +15,8 @@ from partgraph import (
     AdjacencyConfig,
     DomainError,
     EmbeddingConfig,
-    LabelMap,
     LossWeights,
     NumericError,
-    ProbMap,
     SceneSpec,
     ToyNetConfig,
     generate_dataset,
@@ -28,7 +26,6 @@ from partgraph import (
     train_toy,
 )
 from partgraph import condnet, losses
-from partgraph.adjacency import AdjacencyMatrix
 from partgraph.condnet import (
     _TRAIN_BLOCK,
     _forward,
@@ -36,7 +33,7 @@ from partgraph.condnet import (
     _train_step,
     _training_blocks,
 )
-from partgraph.losses import reference_graph, total_loss
+from partgraph.losses import _block_loss
 
 from oracles import mean_gm_loss_oracle, train_step_oracle, train_toy_oracle
 
@@ -170,36 +167,6 @@ def test_heldout_scoring_of_no_scenes_is_a_domain_error():
         mean_gm_loss([], mapping, NET, params, CFG)
 
 
-def test_total_loss_with_prebuilt_reference_is_identical():
-    scenes, mapping = scenes_of(16, 2)
-    rng = np.random.default_rng(0)
-    for rgb, parts, objects in scenes:
-        logits = rng.standard_normal((16, 16, mapping.num_parts))
-        probs = np.exp(logits) / np.exp(logits).sum(axis=2, keepdims=True)
-        pred = ProbMap(probs)
-        reference = reference_graph(parts, mapping.num_parts, CFG)
-        report, grad = total_loss(pred, parts, objects, mapping, CFG, WEIGHTS)
-        report_r, grad_r = total_loss(pred, parts, objects, mapping, CFG, WEIGHTS,
-                                      reference=reference)
-        assert report_r == report
-        assert np.array_equal(grad_r, grad)
-
-
-def test_total_loss_rejects_a_wrong_reference():
-    scenes, mapping = scenes_of(16, 1)
-    _, parts, objects = scenes[0]
-    pred = one_hot(parts, mapping.num_parts)
-    wrong_size = reference_graph(LabelMap(parts.labels), mapping.num_parts + 1, CFG)
-    with pytest.raises(DomainError, match="graph-matching term.*channels"):
-        total_loss(pred, parts, objects, mapping, CFG, WEIGHTS, reference=wrong_size)
-    raw = losses.adjacency_from_labels(parts, mapping.num_parts, CFG)
-    with pytest.raises(DomainError, match="graph-matching term.*normalized"):
-        total_loss(pred, parts, objects, mapping, CFG, WEIGHTS, reference=raw)
-    unnormalized = AdjacencyMatrix(2.0 * raw.entries)
-    with pytest.raises(DomainError, match="graph-matching term.*normalized"):
-        total_loss(pred, parts, objects, mapping, CFG, WEIGHTS, reference=unnormalized)
-
-
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 20])
 def test_criterion_6_net_scene_is_bit_identical_alone_and_in_any_block(monkeypatch, block):
     # the net and 20-scene 32x32 set of acceptance criterion 6, whose 7x7 emb1
@@ -217,11 +184,20 @@ def test_criterion_6_net_scene_is_bit_identical_alone_and_in_any_block(monkeypat
     scene_iter = iter(scenes)
     for images, objs, targets in blocks:
         probs, _ = _forward(images, objs, net, params)
+        grad = np.zeros_like(probs)
+        sums = _block_loss(probs, targets, mapping, CFG, WEIGHTS, grad)
+        alone_sums = np.zeros(3)
         for j in range(len(targets)):
             rgb, _, objects = next(scene_iter)
             alone, _ = _toy_forward_cached(rgb, one_hot(objects, mapping.num_objects), net,
                                            params)
             assert np.array_equal(probs[:, j], alone)
+            # the loss of a block of 1: the same gradient, and sums up to their order
+            alone_grad = np.zeros_like(alone[:, None])
+            alone_sums += _block_loss(alone[:, None], targets[j:j + 1], mapping, CFG, WEIGHTS,
+                                      alone_grad)
+            assert np.array_equal(grad[:, j], alone_grad[:, 0])
+        np.testing.assert_allclose(sums, alone_sums, rtol=1e-15, atol=0.0)
 
 
 def _train_peak_mib(scenes, mapping):
