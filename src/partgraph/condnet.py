@@ -164,8 +164,10 @@ def upsample2(x: np.ndarray) -> np.ndarray:
 
 
 def upsample2_backward(grad_out: np.ndarray) -> np.ndarray:
-    *lead, h2, w2 = grad_out.shape
-    return grad_out.reshape(*lead, h2 // 2, 2, w2 // 2, 2).sum(axis=(-3, -1))
+    out = grad_out[..., 0::2, 0::2] + grad_out[..., 1::2, 0::2]
+    out += grad_out[..., 0::2, 1::2]
+    out += grad_out[..., 1::2, 1::2]
+    return out
 
 
 def softmax_channels(logits: np.ndarray) -> np.ndarray:
@@ -289,13 +291,14 @@ def _conv_shapes(net: ToyNetConfig, num_parts: int, num_objects: int):
 def init_toy_params(net: ToyNetConfig, num_parts: int, num_objects: int,
                     seed: int | None = None) -> dict[str, np.ndarray]:
     """Seeded weight initialization: uniform in +-1/sqrt(fan_in), zero biases."""
-    rng = Xorshift64Star(net.seed if seed is None else seed)
+    shapes = _conv_shapes(net, num_parts, num_objects)
+    sizes = [int(np.prod(shape)) for _, shape in shapes]
+    u = Xorshift64Star(net.seed if seed is None else seed).uniform_array(sum(sizes))
     params: dict[str, np.ndarray] = {}
-    for name, shape in _conv_shapes(net, num_parts, num_objects):
-        fan_in = shape[1] * shape[2] * shape[3]
-        bound = 1.0 / np.sqrt(fan_in)
-        flat = np.array([rng.uniform(-bound, bound) for _ in range(int(np.prod(shape)))])
-        params[f"{name}.w"] = flat.reshape(shape)
+    for (name, shape), draws in zip(shapes, np.split(u, np.cumsum(sizes)[:-1])):
+        bound = 1.0 / np.sqrt(shape[1] * shape[2] * shape[3])
+        # scaled as uniform(-bound, bound) scales its draw
+        params[f"{name}.w"] = (-bound + (bound - -bound) * draws).reshape(shape)
         params[f"{name}.b"] = np.zeros(shape[0], dtype=np.float64)
     return params
 

@@ -80,8 +80,7 @@ def part_color(part: int) -> np.ndarray:
     """Dataset-wide mean RGB color of a part index (background is dark gray)."""
     if part == 0:
         return np.array([0.08, 0.08, 0.08])
-    rng = Xorshift64Star(_COLOR_SALT ^ (part * 0x9E3779B97F4A7C15))
-    return np.array([rng.uniform(0.2, 0.95) for _ in range(3)])
+    return Xorshift64Star(_COLOR_SALT ^ (part * 0x9E3779B97F4A7C15)).uniform_array(3, 0.2, 0.95)
 
 
 def _object_rect(spec: SceneSpec, obj_index: int, rng: Xorshift64Star):
@@ -150,9 +149,8 @@ def generate(spec: SceneSpec):
             )
 
     palette = np.stack([part_color(p) for p in range(spec.num_parts)])
-    # one noise draw per value in (c, y, x) order, streamed without a Python list
-    rgb = np.fromiter((rng.uniform(-_NOISE_AMPLITUDE, _NOISE_AMPLITUDE)
-                       for _ in range(3 * parts.size)), dtype=np.float64, count=3 * parts.size)
+    # one noise draw per value in (c, y, x) order
+    rgb = rng.uniform_array(3 * parts.size, -_NOISE_AMPLITUDE, _NOISE_AMPLITUDE)
     rgb = rgb.reshape((3,) + parts.shape)
     rgb += np.moveaxis(palette[parts], 2, 0)
     np.clip(rgb, 0.0, 1.0, out=rgb)

@@ -6,16 +6,18 @@ deliberately shares no code with the package's vectorized implementations.
 The training and held-out oracles are the exception: they are the per-scene
 loops that the blocked engine replaced, built on the package's single-scene
 entry points. So are the two adapters that run a channel-first loss kernel on
-one unchecked (H, W, C) scene, for finite-difference checks off the simplex.
+one unchecked (H, W, C) scene, for finite-difference checks off the simplex,
+and the scalar-stream oracles, which take one draw per call from the package's
+scalar ``Xorshift64Star`` (whose integer outputs known-answer tests pin).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from partgraph import ProbMap, init_toy_params, one_hot, toy_forward
+from partgraph import ProbMap, Xorshift64Star, init_toy_params, one_hot, toy_forward
 from partgraph.adjacency import gm_value
-from partgraph.condnet import _toy_forward_cached, toy_backward
+from partgraph.condnet import _conv_shapes, _toy_forward_cached, toy_backward
 from partgraph.losses import (
     LossReport,
     _cross_entropy_raw,
@@ -23,6 +25,7 @@ from partgraph.losses import (
     reference_graph,
     total_loss,
 )
+from partgraph.synth import _COLOR_SALT, _NOISE_AMPLITUDE
 
 
 def pixel_distance(dy: int, dx: int, shape: str) -> int:
@@ -295,6 +298,44 @@ def conv_backward_oracle(x: np.ndarray, weights: np.ndarray, grad_out: np.ndarra
     h, w = x.shape[-2:]
     top, left = (xp.shape[-2] - h) // 2, (xp.shape[-1] - w) // 2
     return grad_xp[..., top : top + h, left : left + w], grad_w, grad_b
+
+
+def upsample2_backward_oracle(grad_out: np.ndarray) -> np.ndarray:
+    """Each input pixel's gradient: the sum over its 2x2 block of the upsampled gradient."""
+    *lead, h2, w2 = grad_out.shape
+    return grad_out.reshape(*lead, h2 // 2, 2, w2 // 2, 2).sum(axis=(-3, -1))
+
+
+def scene_rgb_oracle(spec, parts: np.ndarray) -> np.ndarray:
+    """The (3, H, W) rendering of ``parts`` for ``spec``, one scalar draw at a time.
+
+    The scene stream spends two ``randint(2)`` jitters per object on the
+    rectangles, then one noise draw per value in (c, y, x) order; each part
+    color is three draws of its own salted stream.
+    """
+    rng = Xorshift64Star(spec.seed)
+    for _ in range(2 * spec.num_objects):
+        rng.randint(2)
+    h, w = parts.shape
+    noise = [rng.uniform(-_NOISE_AMPLITUDE, _NOISE_AMPLITUDE) for _ in range(3 * h * w)]
+    palette = [np.array([0.08, 0.08, 0.08])]
+    for part in range(1, spec.num_parts):
+        color = Xorshift64Star(_COLOR_SALT ^ (part * 0x9E3779B97F4A7C15))
+        palette.append(np.array([color.uniform(0.2, 0.95) for _ in range(3)]))
+    rgb = np.array(noise).reshape(3, h, w) + np.moveaxis(np.stack(palette)[parts], 2, 0)
+    return np.clip(rgb, 0.0, 1.0)
+
+
+def init_toy_params_oracle(net, num_parts: int, num_objects: int, seed: int) -> dict:
+    """``init_toy_params`` with one scalar ``uniform(-bound, bound)`` draw per weight."""
+    rng = Xorshift64Star(seed)
+    params = {}
+    for name, shape in _conv_shapes(net, num_parts, num_objects):
+        bound = 1.0 / np.sqrt(shape[1] * shape[2] * shape[3])
+        flat = [rng.uniform(-bound, bound) for _ in range(int(np.prod(shape)))]
+        params[f"{name}.w"] = np.array(flat).reshape(shape)
+        params[f"{name}.b"] = np.zeros(shape[0])
+    return params
 
 
 def train_step_oracle(scenes, mapping, net, params, weights, adj_cfg):

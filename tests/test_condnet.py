@@ -32,7 +32,13 @@ from partgraph.condnet import (
 )
 from partgraph.losses import total_loss
 
-from oracles import conv_backward_oracle, conv_forward_oracle, rel_err
+from oracles import (
+    conv_backward_oracle,
+    conv_forward_oracle,
+    init_toy_params_oracle,
+    rel_err,
+    upsample2_backward_oracle,
+)
 
 MAPPING = PartsToObjectsMapping((0, 1, 3, 5))
 
@@ -169,6 +175,28 @@ def test_upsample_round_trip_shapes():
     assert np.array_equal(up[:, ::2, ::2], x)
     back = upsample2_backward(np.ones_like(up))
     assert np.array_equal(back, np.full_like(x, 4.0))
+
+
+@pytest.mark.parametrize("shape", [(2, 6, 8), (7, 4, 32, 32), (3, 1, 2, 2)])
+def test_upsample_backward_matches_block_sum_oracle(shape):
+    g = np.random.default_rng(4).standard_normal(shape)
+    back = upsample2_backward(g)
+    assert back.shape == shape[:-2] + (shape[-2] // 2, shape[-1] // 2)
+    assert np.allclose(back, upsample2_backward_oracle(g), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("net, parts, objects, seed", [
+    (small_net(), 5, 2, 3),
+    (ToyNetConfig(num_stages=2, encoder_channels=(8, 16), decoder_channels=(16, 8),
+                  embedding=EmbeddingConfig.toy(2), conditioning="multi"), 7, 4, 2**64 - 1),
+], ids=["small", "criterion-6"])
+def test_init_params_equal_scalar_draws_bit_for_bit(net, parts, objects, seed):
+    params = init_toy_params(net, parts, objects, seed=seed)
+    expected = init_toy_params_oracle(net, parts, objects, seed)
+    assert params.keys() == expected.keys()
+    for name, value in expected.items():
+        assert params[name].shape == value.shape
+        assert np.array_equal(params[name].view(np.uint64), value.view(np.uint64)), name
 
 
 def test_embedding_pyramid_shapes():

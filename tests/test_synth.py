@@ -10,7 +10,9 @@ from partgraph import (
     project_labels,
 )
 
-from oracles import exact_distance_oracle
+from oracles import exact_distance_oracle, scene_rgb_oracle
+
+SEEDS = [0, 1, 2**64 - 1]
 
 
 def test_prng_is_stable():
@@ -25,6 +27,55 @@ def test_prng_is_stable():
     assert 0.0 <= u < 1.0
     with pytest.raises(ValueError):
         Xorshift64Star(1).randint(0)
+
+
+# the first three next_u64() outputs of each seed, pinned from the scalar generator
+KNOWN_U64 = {
+    0: [0x0D83B3E29A21487A, 0x54C44C79F1FE9D67, 0xA845F342007A0E78],
+    1: [0x47E4CE4B896CDD1D, 0xABCFA6A8E079651D, 0xB9D10D8FEB731F57],
+    2**64 - 1: [0xF92CC9E5C6000000, 0x8FF484D8FD1EAEE3, 0x346C95F3326FABC6],
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integer_stream_known_answers(seed):
+    rng = Xorshift64Star(seed)
+    assert [rng.next_u64() for _ in range(3)] == KNOWN_U64[seed]
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 1.0), (-0.3, 1.7)], ids=["unit", "shifted"])
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 10_856, 196_608])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_uniform_array_equals_scalar_draws(seed, n, bounds):
+    bulk, scalar = Xorshift64Star(seed), Xorshift64Star(seed)
+    got = bulk.uniform_array(n, *bounds)
+    expected = np.array([scalar.uniform(*bounds) for _ in range(n)], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+def test_uniform_array_takes_numpy_integer_counts():
+    bulk, scalar = Xorshift64Star(5), Xorshift64Star(5)
+    got = bulk.uniform_array(np.int64(100), 0.2, 0.95)
+    assert np.array_equal(got, [scalar.uniform(0.2, 0.95) for _ in range(100)])
+
+
+@pytest.mark.parametrize("n", [-1, 2.0, 2.5, "3", None])
+def test_uniform_array_rejects_bad_counts(n):
+    with pytest.raises(ValueError):
+        Xorshift64Star(1).uniform_array(n)
+
+
+@pytest.mark.parametrize("spec", [
+    SceneSpec(width=32, height=32, seed=2**64 - 1),
+    SceneSpec(width=40, height=24, num_objects=2, parts_per_object=(3, 2),
+              layout="nested_blobs", seed=0),
+    SceneSpec(width=20, height=36, num_objects=1, parts_per_object=(3,), min_instance=4, seed=7),
+], ids=["square-stacked", "wide-nested", "tall-stacked"])
+def test_scene_rgb_equals_scalar_draws(spec):
+    parts, _, _, rgb = generate(spec)
+    assert rgb.tobytes() == scene_rgb_oracle(spec, parts.labels).tobytes()
 
 
 def test_spec_validation():
