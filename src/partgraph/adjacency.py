@@ -13,9 +13,9 @@ soft-dilated probability channels and the count becomes a sum of products.
 On a one-hot prediction with hard-max dilation it equals the discrete
 counts, so a perfect prediction scores exactly 0.
 
-All of it is one private forward/backward pair over a (C, H, W) stack, the
-layout the network emits. The public entries take (H, W, C) probabilities
-and are thin wrappers over the pair.
+All of it is one private forward/backward pair over a (C, N, H, W) block of N
+scenes, the layout the network emits, whose backward adds into the caller's
+gradient buffer. The public (H, W, C) entries wrap it on a block of one scene.
 """
 
 from __future__ import annotations
@@ -166,9 +166,9 @@ def normalize_rows(matrix: AdjacencyMatrix) -> AdjacencyMatrix:
 
 
 def _unit_rows(raw: np.ndarray):
-    """``raw`` with every nonzero row scaled to unit L2 norm, and the row norms."""
-    norms = np.linalg.norm(raw, axis=1)
-    return raw / np.where(norms > 0.0, norms, 1.0)[:, None], norms
+    """``raw`` with every nonzero row (last axis) scaled to unit L2 norm, and the row norms."""
+    norms = np.linalg.norm(raw, axis=-1)
+    return raw / np.where(norms > 0.0, norms, 1.0)[..., None], norms
 
 
 def soft_adjacency(pred: ProbMap, cfg: AdjacencyConfig):
@@ -179,81 +179,82 @@ def soft_adjacency(pred: ProbMap, cfg: AdjacencyConfig):
     one-hot input with hard_max this reproduces the discrete counts of the
     argmax map exactly.
     """
-    raw, _, _ = _gm_forward(np.moveaxis(pred.probs, 2, 0), cfg)
-    raw_m = AdjacencyMatrix(raw, RAW_COUNTS)
+    raw, _, _ = _gm_forward(np.moveaxis(pred.probs, 2, 0)[:, None], cfg)
+    raw_m = AdjacencyMatrix(raw[0], RAW_COUNTS)
     return raw_m, normalize_rows(raw_m)
 
 
 def gm_value_and_grad(probs: np.ndarray, reference: AdjacencyMatrix, cfg: AdjacencyConfig):
     """(loss, gradient) of the graph-matching loss for an (H, W, C) probability array."""
-    _, loss, cache = _gm_forward(np.moveaxis(probs, 2, 0), cfg, reference)
-    return loss, np.moveaxis(_gm_backward(cache), 0, 2)
+    _, losses, cache = _gm_forward(np.moveaxis(probs, 2, 0)[:, None], cfg, [reference])
+    grad = np.zeros((probs.shape[2], 1) + probs.shape[:2])
+    _gm_backward(cache, grad, 1.0)
+    return float(losses[0]), np.moveaxis(grad[:, 0], 0, 2)
 
 
 def gm_value(probs: np.ndarray, reference: AdjacencyMatrix, cfg: AdjacencyConfig) -> float:
     """Loss-only variant of :func:`gm_value_and_grad` (used by finite-difference checks)."""
-    return _gm_forward(np.moveaxis(probs, 2, 0), cfg, reference)[1]
+    return float(_gm_forward(np.moveaxis(probs, 2, 0)[:, None], cfg, [reference])[1][0])
 
 
-def _gm_forward(stack: np.ndarray, cfg: AdjacencyConfig,
-                reference: AdjacencyMatrix | None = None):
-    """Graph matching on a (C, H, W) probability stack: (raw, loss, cache).
+def _gm_forward(block: np.ndarray, cfg: AdjacencyConfig, references=None):
+    """Graph matching on a (C, N, H, W) block of N scenes: (raw, losses, cache).
 
-    ``raw`` is the raw soft adjacency. Given a normalized C x C ``reference``,
-    ``loss`` is the Frobenius distance between it and the row-normalized
-    ``raw`` and ``cache`` feeds :func:`_gm_backward`; without one both are None.
+    ``raw`` holds the N raw soft adjacencies. Given a normalized C x C reference
+    per scene, ``losses`` holds their Frobenius distances to the row-normalized
+    ``raw`` and ``cache`` feeds :func:`_gm_backward`; without them both are None.
     """
-    c, h, w = stack.shape
-    if reference is not None and reference.kind != NORMALIZED:
-        raise DomainError("reference adjacency matrix must be normalized")
-    if reference is not None and reference.size != c:
-        raise DomainError(f"reference matrix is {reference.size} x {reference.size} but the "
-                          f"prediction has {c} channels")
-    dilated = np.zeros((c, h * w), dtype=np.float64)
+    c, n, h, w = block.shape
+    for reference in references or ():
+        if reference.kind != NORMALIZED:
+            raise DomainError("reference adjacency matrix must be normalized")
+        if reference.size != c:
+            raise DomainError(f"reference matrix is {reference.size} x {reference.size} but "
+                              f"the prediction has {c} channels")
+    dilated = np.zeros((n, c, h * w), dtype=np.float64)  # one C x HW matrix D per scene
     blocks = []
     for lo in range(0 if cfg.include_background else 1, c, _SOFT_BLOCK):
         hi = min(lo + _SOFT_BLOCK, c)
-        fields, block = soft_dilate_forward(stack[lo:hi], cfg.element, cfg.soft_mode, cfg.beta)
-        dilated[lo:hi] = fields.reshape(hi - lo, h * w)
-        blocks.append((lo, hi, block))
-    counts = dilated @ dilated.T
-    np.fill_diagonal(counts, 0.0)
+        fields, state = soft_dilate_forward(block[lo:hi], cfg.element, cfg.soft_mode, cfg.beta)
+        dilated[:, lo:hi] = fields.reshape(hi - lo, n, h * w).swapaxes(0, 1)
+        blocks.append((lo, hi, state))
+    counts = dilated @ dilated.swapaxes(1, 2)
+    counts[:, range(c), range(c)] = 0.0
     raw = _apply_weighting(counts, cfg.weighting)
-    if reference is None:
+    if references is None:
         return raw, None, None
     normalized, norms = _unit_rows(raw)
-    diff = normalized - reference.entries
-    loss = float(np.linalg.norm(diff))
-    return raw, loss, {"shape": stack.shape, "dilated": dilated, "blocks": blocks,
-                       "counts": counts, "weighting": cfg.weighting, "normalized": normalized,
-                       "norms": norms, "diff": diff, "loss": loss}
+    diff = normalized - np.stack([reference.entries for reference in references])
+    # per scene the dot product np.linalg.norm takes of one flattened matrix
+    flat = diff.reshape(n, 1, c * c)
+    losses = np.sqrt(flat @ flat.swapaxes(1, 2)).ravel()
+    return raw, losses, {"dilated": dilated, "blocks": blocks, "counts": counts,
+                         "weighting": cfg.weighting, "normalized": normalized,
+                         "norms": norms, "diff": diff, "losses": losses}
 
 
-def _gm_backward(cache: dict) -> np.ndarray:
-    """Gradient of :func:`_gm_forward`'s loss with respect to its (C, H, W) stack.
+def _gm_backward(cache: dict, grad: np.ndarray, scale: float) -> None:
+    """Add ``scale`` times each scene's loss gradient into its slice of ``grad``.
 
     Differentiates loss -> row normalization -> soft adjacency -> soft
     dilation. With ``smooth_max`` the chain is smooth; with ``hard_max`` the
-    window-argmax subgradient is used. At a loss of exactly 0 the gradient is
-    defined as the zero field. The dilated channels are taken out of the
-    cache, so they are released before the dilation backward runs.
+    window-argmax subgradient is used. A scene at a loss of exactly 0 gets
+    the zero gradient. The dilated channels are taken out of the cache, so
+    they are released before the dilation backward runs.
     """
-    c, h, w = cache["shape"]
-    if cache["loss"] == 0.0:
-        return np.zeros((c, h, w))
-    # through row normalization: for nonzero rows u with n = u / |u|,
-    # grad_u = (grad_n - n (n . grad_n)) / |u|; zero rows pass nothing
-    grad_norm = cache["diff"] / cache["loss"]
-    n, norms = cache["normalized"], cache["norms"][:, None]
-    inner = np.sum(n * grad_norm, axis=1, keepdims=True)
-    grad_raw = np.divide(grad_norm - n * inner, norms, out=np.zeros_like(n), where=norms > 0.0)
+    losses = cache["losses"][:, None, None]
+    grad_norm = cache["diff"] / np.where(losses > 0.0, losses, np.inf)
+    # through row normalization: for nonzero rows u with n = u / |u|, grad_u = (grad_n
+    # - n (n . grad_n)) / |u|, zero on the diagonal as n and grad_n are; zero rows pass nothing
+    unit, norms = cache["normalized"], cache["norms"][..., None]
+    inner = np.sum(unit * grad_norm, axis=-1, keepdims=True)
+    grad_raw = np.divide(grad_norm - unit * inner, norms, out=np.zeros_like(unit),
+                         where=norms > 0.0)
     if cache["weighting"] == "unweighted":
         grad_raw *= cache["counts"] < 1.0
-    np.fill_diagonal(grad_raw, 0.0)
 
     # counts = D D^T, so grad_D = (G + G^T) D
-    grad_dilated = (grad_raw + grad_raw.T) @ cache.pop("dilated")
-    grad = np.zeros((c, h, w))
-    for lo, hi, block in cache.pop("blocks"):
-        grad[lo:hi] = soft_dilate_backward(grad_dilated[lo:hi].reshape(hi - lo, h, w), block)
-    return grad
+    grad_dilated = ((grad_raw + grad_raw.swapaxes(1, 2)) @ cache.pop("dilated")).swapaxes(0, 1)
+    for lo, hi, state in cache.pop("blocks"):
+        part = soft_dilate_backward(grad_dilated[lo:hi].reshape(grad[lo:hi].shape), state)
+        grad[lo:hi] += np.multiply(part, scale, out=part)

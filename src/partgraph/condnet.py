@@ -25,9 +25,9 @@ is plain gradient descent with a polynomial learning-rate decay of power
 0.9. The single-scene entry points (``conv2d_forward``, ``toy_forward``,
 ``toy_backward``) run the same code on (C, H, W); ``train_toy`` and
 ``mean_gm_loss`` run their scenes in blocks, and a scene's probabilities do
-not depend on its block. Training takes the loss of each (C, N, H, W) block
-as it comes out of the network, into one gradient buffer per block; a
-scene's gradient does not depend on its block either.
+not depend on its block. Training and held-out scoring take the loss terms of
+each (C, N, H, W) block as it comes out of the network, into one gradient
+buffer per block; a scene's loss and gradient do not depend on its block.
 Given a seed, runs are bit-reproducible.
 """
 
@@ -565,11 +565,10 @@ def mean_gm_loss(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
     """
     if not scenes:
         raise DomainError("need at least one held-out scene")
-    total = 0.0
+    losses = []
     for images, objs, targets in _training_blocks(scenes, mapping, net, adj_cfg):
         probs, _ = _forward(images, objs, net, params)
         if not np.isfinite(probs).all():
             raise NumericError("non-finite activations on held-out scenes")
-        for j, (_, _, reference) in enumerate(targets):
-            total += _gm_forward(probs[:, j], adj_cfg, reference)[1]
-    return total / len(scenes)
+        losses.extend(_gm_forward(probs, adj_cfg, [ref for _, _, ref in targets])[1])
+    return float(np.cumsum(losses)[-1]) / len(scenes)  # summed in scene order

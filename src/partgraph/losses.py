@@ -13,9 +13,9 @@ plus its gradient with respect to every probability entry.
 - ``total_loss``: cross-entropy plus lambda1 * reconstruction plus
   lambda2 * graph-matching, with the combined gradient.
 
-The public entries check an (H, W, C) ``ProbMap``; every kernel below them
-takes a (C, N, H, W) block of N scenes, the layout the network emits, and
-adds its gradient into one buffer the caller owns.
+The public entries check an (H, W, C) ``ProbMap``; every kernel below them,
+graph matching's included, takes a (C, N, H, W) block of N scenes, the layout
+the network emits, and adds its weighted gradient into one buffer the caller owns.
 
 Pixel aggregation is the mean, so loss magnitudes are independent of image
 size. Probabilities are clamped below at LOG_EPS before the log.
@@ -166,12 +166,10 @@ def _block_loss(probs: np.ndarray, targets, mapping: PartsToObjectsMapping,
     ce = _cross_entropy_raw(probs, np.stack([p.labels for p, _, _ in targets]), grad)
     rec = _reconstruction_raw(probs, np.stack([o.labels for _, o, _ in targets]), mapping,
                               grad, weights.lambda1)
-    gm = 0.0
-    for j, (_, _, reference) in enumerate(targets):
-        _, loss, cache = _gm_forward(probs[:, j], cfg, reference)
-        grad[:, j] += weights.lambda2 * _gm_backward(cache)
-        gm += loss
-    return ce, rec, gm
+    _, losses, cache = _gm_forward(probs, cfg, [reference for _, _, reference in targets])
+    _gm_backward(cache, grad, weights.lambda2)
+    # a running sum adds the scenes in order, as scene-by-scene totals do (np.sum pairs them)
+    return ce, rec, float(np.cumsum(losses)[-1])
 
 
 def total_loss(pred: ProbMap, gt_parts: LabelMap, gt_objects: LabelMap | None,

@@ -80,7 +80,8 @@ def part_color(part: int) -> np.ndarray:
     """Dataset-wide mean RGB color of a part index (background is dark gray)."""
     if part == 0:
         return np.array([0.08, 0.08, 0.08])
-    return Xorshift64Star(_COLOR_SALT ^ (part * 0x9E3779B97F4A7C15)).uniform_array(3, 0.2, 0.95)
+    rng = Xorshift64Star(_COLOR_SALT ^ (part * 0x9E3779B97F4A7C15))
+    return np.array([rng.uniform(0.2, 0.95) for _ in range(3)])
 
 
 def _object_rect(spec: SceneSpec, obj_index: int, rng: Xorshift64Star):

@@ -3,7 +3,8 @@
 ``train_toy`` and ``mean_gm_loss`` stack consecutive scenes of equal size
 into (C, N, H, W) blocks and build each scene's reference graph once. The
 oracles in ``oracles.py`` run every scene alone and rebuild the reference
-each step.
+each step. Every loss kernel takes a whole block and adds its gradient into
+the caller's buffer, each scene's slice equal to that scene's block of one.
 """
 
 import tracemalloc
@@ -33,7 +34,8 @@ from partgraph.condnet import (
     _train_step,
     _training_blocks,
 )
-from partgraph.losses import _block_loss
+from partgraph.adjacency import _gm_backward, _gm_forward
+from partgraph.losses import _block_loss, _cross_entropy_raw, _reconstruction_raw, reference_graph
 
 from oracles import mean_gm_loss_oracle, train_step_oracle, train_toy_oracle
 
@@ -222,3 +224,110 @@ def test_training_memory_is_bounded_by_the_block(monkeypatch):
     assert _train_peak_mib(scenes, mapping) < bound_mib
     monkeypatch.setattr(condnet, "_TRAIN_BLOCK", len(scenes))
     assert _train_peak_mib(scenes, mapping) > bound_mib  # the bound sees one whole-set block
+
+
+def test_graph_matching_totals_add_the_scenes_in_order(monkeypatch):
+    # 20 scenes, where a pairwise sum of the per-scene terms differs from a running one
+    scenes, mapping = scenes_of(16, 20)
+    params = init_toy_params(NET, mapping.num_parts, mapping.num_objects, seed=11)
+    assert mean_gm_loss(scenes, mapping, NET, params, CFG) == mean_gm_loss_oracle(
+        scenes, mapping, NET, params, CFG)
+    monkeypatch.setattr(condnet, "_TRAIN_BLOCK", len(scenes))
+    [(images, objs, targets)] = _training_blocks(scenes, mapping, NET, CFG)
+    probs, _ = _forward(images, objs, NET, params)
+    want = 0.0
+    for j in range(len(scenes)):
+        want += _block_loss(probs[:, j:j + 1], targets[j:j + 1], mapping, CFG, WEIGHTS,
+                            np.zeros_like(probs[:, :1]))[2]
+    assert _block_loss(probs, targets, mapping, CFG, WEIGHTS, np.zeros_like(probs))[2] == want
+
+
+HARD = AdjacencyConfig(distance_threshold=4, soft_mode="hard_max")
+
+
+def perfect_and_noisy_block(mapping, scenes):
+    """(C, 2, H, W) probabilities: scene 0's one-hot truth, then a noisy scene 1."""
+    rng = np.random.default_rng(8)
+    perfect = np.moveaxis(one_hot(scenes[0][1], mapping.num_parts).probs, 2, 0)
+    logits = rng.normal(size=perfect.shape) + 2.0 * np.moveaxis(
+        one_hot(scenes[1][1], mapping.num_parts).probs, 2, 0)
+    noisy = np.exp(logits) / np.exp(logits).sum(axis=0)
+    return np.stack([perfect, noisy], axis=1)
+
+
+def test_a_perfect_scene_beside_a_noisy_one_gets_no_gm_gradient():
+    scenes, mapping = scenes_of(16, 2)
+    probs = perfect_and_noisy_block(mapping, scenes)
+    targets = [(parts, objects, reference_graph(parts, mapping.num_parts, HARD))
+               for _, parts, objects in scenes]
+    assert _gm_forward(probs, HARD, [ref for _, _, ref in targets])[1][0] == 0.0
+    grad = np.zeros_like(probs)
+    ce, rec, gm = _block_loss(probs, targets, mapping, HARD, WEIGHTS, grad)
+    # the perfect scene's gradient is its cross-entropy and reconstruction terms alone
+    no_gm = np.zeros_like(probs)
+    _block_loss(probs, targets, mapping, HARD, LossWeights(WEIGHTS.lambda1, 0.0), no_gm)
+    assert np.array_equal(grad[:, 0], no_gm[:, 0])
+    # the noisy scene's loss and gradient are those of its block of one
+    alone = np.zeros_like(probs[:, 1:])
+    assert (ce, rec, gm) == _block_loss(probs[:, 1:], targets[1:], mapping, HARD, WEIGHTS,
+                                        alone)
+    assert np.array_equal(grad[:, 1], alone[:, 0])
+
+
+def test_heldout_scoring_of_a_perfect_and_a_noisy_scene_matches_per_scene_loop(monkeypatch):
+    scenes, mapping = scenes_of(16, 2)
+    block = perfect_and_noisy_block(mapping, scenes)
+    by_image = {rgb.tobytes(): block[:, j] for j, (rgb, _, _) in enumerate(scenes)}
+
+    def lookup_forward(images, objects, net, params):
+        # the network's place: each image's fixed probabilities, alone or in a block
+        if images.ndim == 3:
+            return by_image[images.tobytes()], {}
+        return np.stack([by_image[images[:, j].tobytes()] for j in range(images.shape[1])],
+                        axis=1), {}
+
+    monkeypatch.setattr(condnet, "_forward", lookup_forward)
+    params = init_toy_params(NET, mapping.num_parts, mapping.num_objects, seed=11)
+    want = mean_gm_loss_oracle(scenes, mapping, NET, params, HARD)
+    got = mean_gm_loss(scenes, mapping, NET, params, HARD)
+    assert got == want
+    reference = reference_graph(scenes[1][1], mapping.num_parts, HARD)
+    noisy = _gm_forward(block[:, 1:], HARD, [reference])[1][0]
+    assert noisy > 0.0 and got == noisy / 2  # the perfect scene adds exactly 0
+
+
+def _cross_entropy_kernel(probs, scenes, mapping, cfg, grad):
+    _cross_entropy_raw(probs, np.stack([parts.labels for _, parts, _ in scenes]), grad)
+
+
+def _reconstruction_kernel(probs, scenes, mapping, cfg, grad):
+    objects = np.stack([objs.labels for _, _, objs in scenes])
+    _reconstruction_raw(probs, objects, mapping, grad, 0.3)
+
+
+def _graph_matching_kernel(probs, scenes, mapping, cfg, grad):
+    references = [reference_graph(parts, mapping.num_parts, cfg) for _, parts, _ in scenes]
+    _, _, cache = _gm_forward(probs, cfg, references)
+    assert _gm_backward(cache, grad, 0.3) is None
+
+
+@pytest.mark.parametrize("kernel, cfg", [
+    (_cross_entropy_kernel, CFG),
+    (_reconstruction_kernel, CFG),
+    (_graph_matching_kernel, CFG),
+    (_graph_matching_kernel, AdjacencyConfig(distance_threshold=2, element_shape="diamond",
+                                             soft_mode="hard_max", include_background=False)),
+], ids=["cross_entropy", "reconstruction", "graph_matching", "graph_matching_hard_max"])
+def test_every_loss_kernel_adds_into_the_callers_buffer(kernel, cfg):
+    scenes, mapping = scenes_of(16, 3)
+    params = init_toy_params(NET, mapping.num_parts, mapping.num_objects, seed=11)
+    images, objs, _ = _training_blocks(scenes, mapping, NET, cfg)[0]
+    probs, _ = _forward(images, objs, NET, params)
+    before = np.random.default_rng(9).normal(size=probs.shape)
+    grad = before.copy()
+    kernel(probs, scenes, mapping, cfg, grad)
+    for j in range(len(scenes)):
+        alone = np.zeros_like(probs[:, j:j + 1])
+        kernel(probs[:, j:j + 1], scenes[j:j + 1], mapping, cfg, alone)
+        assert np.any(alone != 0.0)
+        assert np.array_equal(grad[:, j], before[:, j] + alone[:, 0])
