@@ -3,10 +3,12 @@
 A part-adjacency matrix measures, for every pair of part classes, how
 strongly the two parts touch in an image. Raw entry (i, j) counts pixels in
 the intersection of the two part masks after each is dilated by half the
-distance threshold, so parts separated by a thin gap still register. Rows
-are then L2-normalized into proximity ratios, and the graph-matching loss is
-the Frobenius distance between the reference and predicted normalized
-matrices.
+distance threshold, so parts separated by a thin gap still register: the
+pixels whose window holds both parts. The discrete path dilates per-pixel
+part bitsets once, so each pixel holds the set of parts in its window, and
+adds each distinct set's pixel count to every pair in it. Rows are then
+L2-normalized into proximity ratios, and the graph-matching loss is the
+Frobenius distance between the reference and predicted normalized matrices.
 
 The prediction-side path is differentiable: part masks are replaced by
 soft-dilated probability channels and the count becomes a sum of products.
@@ -142,19 +144,25 @@ def adjacency_from_labels(label_map: LabelMap, num_parts: int,
     labels = label_map.labels
     _check_labels_below(labels, num_parts)
 
-    present = [int(p) for p in np.unique(labels)]
+    # present part k is bit k % 64 of word k // 64 of each pixel's bitset
+    present, part = np.unique(labels.ravel(), return_inverse=True)
+    sets = np.zeros((-(-present.size // 64), part.size), dtype=np.uint64)
+    sets[part >> 6, np.arange(part.size)] = np.uint64(1) << (part & 63).astype(np.uint64)
+    sets = dilate_array(sets.reshape((-1,) + labels.shape), cfg.element).reshape(sets.shape)
+    # a one-word set is its own key, and wider ones are opaque byte keys: np.unique's
+    # axis= mode sorts them field by field, ~60 against ~12 ms at 109 parts, 256x256
+    keys = sets[0] if len(sets) == 1 else np.ascontiguousarray(sets.T).view(
+        np.dtype((np.void, sets.itemsize * len(sets))))
+    windows, counts = np.unique(keys, return_counts=True)
+    del part, sets, keys  # freed before the matrices are built, for the peak memory
+    shifts = np.arange(64, dtype=np.uint64)
+    raw = np.zeros((num_parts, num_parts))
+    for words, count in zip(windows.view(np.uint64).reshape(counts.size, -1), counts):
+        held = present[np.flatnonzero((words[:, None] >> shifts) & 1)]
+        raw[held[:, None], held] += count
+    np.fill_diagonal(raw, 0.0)
     if not cfg.include_background:
-        present = [p for p in present if p != 0]
-
-    raw = np.zeros((num_parts, num_parts), dtype=np.float64)
-    elem = cfg.element
-    dilated = {p: dilate_array(labels == p, elem) for p in present}
-    for a_idx, i in enumerate(present):
-        for j in present[a_idx + 1:]:
-            count = float(np.count_nonzero(dilated[i] & dilated[j]))
-            raw[i, j] = count
-            raw[j, i] = count
-
+        raw[0] = raw[:, 0] = 0.0
     return AdjacencyMatrix(_apply_weighting(raw, cfg.weighting), RAW_COUNTS)
 
 

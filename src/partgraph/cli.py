@@ -45,7 +45,7 @@ from .formats import (
 )
 from .losses import LossWeights, total_loss
 from .metrics import confusion, report
-from .morphology import ELEMENT_SHAPES, SOFT_MODES, BinaryMask, StructuringElement, dilate
+from .morphology import ELEMENT_SHAPES, SOFT_MODES, StructuringElement, dilate_array
 from .synth import SceneSpec, generate, generate_dataset
 
 
@@ -132,11 +132,9 @@ def _config_fields(cls, doc, where: str, keys: dict[str, str] | None = None,
 # ---------------------------------------------------------------------------
 
 def _cmd_dilate(args) -> int:
-    label_map = load_map(args.infile)
-    mask = BinaryMask(label_map.labels != 0)
-    grown = dilate(mask, StructuringElement(args.shape, args.radius))
-    out_map = LabelMap(grown.bits.astype(np.int32), num_classes=2)
-    save_map(out_map, args.out)
+    grown = dilate_array(load_map(args.infile).labels != 0,
+                         StructuringElement(args.shape, args.radius))
+    save_map(LabelMap(grown.astype(np.int32), num_classes=2), args.out)
     return 0
 
 

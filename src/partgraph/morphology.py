@@ -22,6 +22,12 @@ row segments of the window, each a handful of shifted slices. A square's
 segments all have half-width r; a diamond's has half-width r - |dy| at row
 offset dy. The cost grows linearly with the radius, and no further than the
 image reaches, so a radius beyond the image costs what the image costs.
+
+Each reduction is one stock ufunc: ``np.bitwise_or``, which dilates each bit
+of an unsigned-integer bitset as its own mask; ``np.add`` for smooth_max;
+and ``np.maximum`` of x - i * index for hard_max. numpy orders complex
+numbers by real part, then imaginary part, so the window maximum wins and a
+tie goes to the lowest index, the first pixel in row-major order.
 """
 
 from __future__ import annotations
@@ -70,14 +76,6 @@ class BinaryMask:
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
 
 def check_beta(beta: float) -> None:
     """Reject a smooth-max sharpness outside (0, MAX_BETA], NaN included."""
@@ -90,20 +88,18 @@ def _combine_shifted(acc, src, d: int, axis: int, op) -> None:
 
     Shifted-in pixels from beyond the border do not exist, so the slices clip.
     """
-    if d == 0:
-        op(acc, src, out=acc)
-        return
     tail = (slice(None),) * (-1 - axis)
-    lo, hi = (..., slice(None, -d)) + tail, (..., slice(d, None)) + tail
+    lo, hi = (..., slice(None, -d or None)) + tail, (..., slice(d, None)) + tail
     op(acc[hi], src[lo], out=acc[hi])
-    op(acc[lo], src[hi], out=acc[lo])
+    if d:  # at d = 0 both shifts are src itself
+        op(acc[lo], src[hi], out=acc[lo])
 
 
 def _window_reduce(x: np.ndarray, elem: StructuringElement, op, start) -> np.ndarray:
     """Reduce each pixel's border-clipped window over the last two axes of ``x``.
 
-    ``op(a, b, out=a)`` must be associative and commutative, with ``start``
-    as its identity. A row pass grows running row segments, and a column pass
+    ``op`` is a ufunc, associative and commutative, with ``start`` as its
+    identity. A row pass grows running row segments, and a column pass
     combines the segment of every row offset dy, from the farthest offset
     inward, since a diamond's segment half-width r - |dy| only grows on the
     way. Offsets beyond the image reach nothing and are skipped, which bounds
@@ -123,20 +119,17 @@ def _window_reduce(x: np.ndarray, elem: StructuringElement, op, start) -> np.nda
     return out
 
 
-def _first_max(acc, src, out) -> None:
-    """Pairwise maximum of (value, -index) pairs stacked on axis 0: ties go to the lower index."""
-    take = (src[0] > acc[0]) | ((src[0] == acc[0]) & (src[1] > acc[1]))
-    np.copyto(out, src, where=take)
-
-
 def dilate(mask: BinaryMask, elem: StructuringElement) -> BinaryMask:
     """Binary dilation of ``mask`` by ``elem``, border-clipped."""
     return BinaryMask(dilate_array(mask.bits, elem))
 
 
 def dilate_array(bits: np.ndarray, elem: StructuringElement) -> np.ndarray:
-    """Array-in, array-out :func:`dilate` of a (..., H, W) stack of masks."""
-    return _window_reduce(np.asarray(bits, dtype=bool), elem, np.logical_or, False)
+    """Array-in, array-out :func:`dilate` of a (..., H, W) stack of masks, or of
+    unsigned-integer bitsets, which keep their dtype."""
+    bits = np.asarray(bits)
+    return _window_reduce(bits if bits.dtype.kind == "u" else bits.astype(bool), elem,
+                          np.bitwise_or, 0)
 
 
 def soft_dilate(channel: np.ndarray, elem: StructuringElement,
@@ -159,18 +152,18 @@ def soft_dilate_forward(stack: np.ndarray, elem: StructuringElement,
     x = np.ascontiguousarray(stack, dtype=np.float64)
     if x.ndim < 2:
         raise DomainError(f"expected (..., H, W) fields, got shape {x.shape}")
-    if x.min() < 0.0 or x.max() > 1.0 + 1e-6:
+    # written so that NaN fails it: np.maximum would carry NaN through hard_max
+    if not (x.min() >= 0.0 and x.max() <= 1.0 + 1e-6):
         raise DomainError("soft dilation expects values in [0, 1]")
     if mode not in SOFT_MODES:
         raise DomainError(f"mode must be one of {SOFT_MODES}, got {mode!r}")
 
     if mode == "hard_max":
-        # the winner is the first input pixel in row-major order attaining the
-        # window maximum; ties resolve there
-        index = np.arange(x.size, dtype=np.float64).reshape(x.shape)
-        best = _window_reduce(np.stack([x, -index]), elem, _first_max, -np.inf)
-        winner = (-best[1]).astype(np.intp)
-        return best[0], ("hard_max", winner)
+        # key x - i * index: its window maximum holds the value and the winner
+        key = np.arange(0, -x.size, -1).reshape(x.shape) * 1j
+        key += x
+        best = _window_reduce(key, elem, np.maximum, complex(-np.inf, -np.inf))
+        return best.real, ("hard_max", (-best.imag).astype(np.intp))
 
     check_beta(beta)
     weight = np.exp(beta * (x - 1.0))

@@ -17,6 +17,7 @@ from partgraph import (
 )
 from partgraph.adjacency import gm_value, gm_value_and_grad
 from partgraph.morphology import StructuringElement, dilate_array
+from partgraph.synth import SceneSpec, generate
 
 from oracles import (
     dilate_intersect_oracle,
@@ -104,15 +105,65 @@ def test_separated_parts_are_not_adjacent():
     assert exact[2, 1] == 0.0
 
 
+def sparse_label_map(rng, h, w, present, num_parts):
+    """An h x w map holding exactly ``present`` of ``num_parts`` part ids, shuffled."""
+    ids = rng.choice(num_parts, present, replace=False)
+    return LabelMap(ids[rng.permutation(np.resize(np.arange(present), h * w))].reshape(h, w),
+                    num_classes=num_parts)
+
+
 @pytest.mark.parametrize("shape", ["square", "diamond"])
 def test_dilate_intersect_matches_pixel_pair_oracle(shape):
+    # (map, num_parts, T): small maps; 63 to 130 present parts, on both sides
+    # of the 64-part words of the bitsets; a high-entropy map; a radius past
+    # the image
     rng = np.random.default_rng(3 + (shape == "diamond"))
-    cfg = AdjacencyConfig(distance_threshold=4, element_shape=shape)
-    for _ in range(5):
-        m = random_label_map(rng, 10, 8, 5)
-        got = adjacency_from_labels(m, 5, cfg).entries
-        want = dilate_intersect_oracle(m.labels, 5, shape, cfg.dilation_radius)
-        assert np.array_equal(got, want)
+    cases = [(random_label_map(rng, 10, 8, 5), 5, 4) for _ in range(5)]
+    cases += [(sparse_label_map(rng, 16, 12, present, present + 9), present + 9, 2)
+              for present in (63, 64, 65, 130)]
+    cases += [(random_label_map(rng, 20, 20, 250), 250, 3), (random_label_map(rng, 6, 5, 7), 7, 20)]
+    for m, num_parts, t in cases:
+        counts = dilate_intersect_oracle(m.labels, num_parts, shape, (t + 1) // 2)
+        for weighting in ("weighted", "unweighted"):
+            for background in (True, False):
+                want = counts.copy()
+                if not background:
+                    want[0] = want[:, 0] = 0.0
+                if weighting == "unweighted":
+                    want = np.minimum(want, 1.0)
+                cfg = AdjacencyConfig(distance_threshold=t, element_shape=shape,
+                                      weighting=weighting, include_background=background)
+                got = adjacency_from_labels(m, num_parts, cfg).entries
+                assert np.array_equal(got, want), (num_parts, t, weighting, background)
+
+
+def test_adjacency_from_labels_peak_memory_is_bounded():
+    # the bitsets must stay below the per-part full-image masks they replace,
+    # present x H x W bytes, on a high-entropy map and on a paper-scale scene
+    rng = np.random.default_rng(21)
+    scene = generate(SceneSpec(width=256, height=256, num_objects=12,
+                               parts_per_object=(9,) * 12, seed=4))[0]
+    for m, num_parts in ((random_label_map(rng, 96, 96, 300), 300), (scene, 109)):
+        bound = np.unique(m.labels).size * m.labels.size
+        tracemalloc.start()
+        try:
+            adjacency_from_labels(m, num_parts, AdjacencyConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (num_parts, peak, bound)
+
+
+@pytest.mark.parametrize("mode", ["hard_max", "smooth_max"])
+def test_gm_entries_reject_nan_probabilities(mode):
+    rng = np.random.default_rng(22)
+    cfg = AdjacencyConfig(soft_mode=mode)
+    reference = normalize_rows(adjacency_from_labels(random_label_map(rng, 6, 6, 3), 3, cfg))
+    probs = random_probs(rng, 6, 6, 3)
+    probs[2, 3, 1] = np.nan
+    for entry in (gm_value, gm_value_and_grad):
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            entry(probs, reference, cfg)
 
 
 def test_exact_distance_matches_pixel_pair_oracle():

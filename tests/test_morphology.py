@@ -126,6 +126,16 @@ def test_smooth_max_rejects_bad_beta():
     assert np.isfinite(soft_dilate(field, elem, mode="smooth_max", beta=700.0)).all()
 
 
+@pytest.mark.parametrize("mode", ["hard_max", "smooth_max"])
+@pytest.mark.parametrize("bad", [float("nan"), -0.25, 1.5])
+def test_soft_dilate_rejects_values_outside_unit_range(mode, bad):
+    # NaN must fail the range check too: hard_max's np.maximum would carry it
+    field = np.full((6, 6), 0.5)
+    field[2, 3] = bad
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        soft_dilate(field, StructuringElement("square", 1), mode=mode)
+
+
 def test_smooth_max_dominates_hard_max_until_clamp():
     rng = np.random.default_rng(10)
     field = rng.random((6, 6)) * 0.5
@@ -197,8 +207,20 @@ def test_stacked_kernel_matches_offset_loop_oracle(mode, shape, radius):
     elem = StructuringElement(shape, radius)
     if mode == "binary":
         out = dilate_array(stack < 0.3, elem)
+        assert out.dtype == bool
         for ch in range(stack.shape[0]):
             assert np.array_equal(out[ch], dilate_oracle(stack[ch] < 0.3, shape, radius))
+        # a uint64 bitset stack, each bit set with probability 1/8: every bit
+        # dilates as its own mask, and the dtype stays
+        draws = rng.integers(0, 2**64, (3,) + stack.shape, dtype=np.uint64)
+        bitsets = draws[0] & draws[1] & draws[2]
+        out = dilate_array(bitsets, elem)
+        assert out.dtype == np.uint64
+        for bit in np.arange(64, dtype=np.uint64):
+            got = (out >> bit) & np.uint64(1)
+            for ch in range(stack.shape[0]):
+                want = dilate_oracle(((bitsets[ch] >> bit) & np.uint64(1)) == 1, shape, radius)
+                assert np.array_equal(got[ch] == 1, want), (int(bit), ch)
         return
     probe = rng.standard_normal(stack.shape)
     out, cache = soft_dilate_forward(stack, elem, mode, 20.0)
