@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 import typing
-from dataclasses import is_dataclass, replace
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +65,13 @@ def _write_result(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _matrix_csv(entries: np.ndarray) -> str:
-    lines = [",".join(f"{v:.9g}" for v in row) for row in entries]
-    return "\n".join(lines) + "\n"
+def _csv(rows) -> str:
+    """CSV text: floats as %.9g, None (an undefined metric) as an empty cell."""
+    def cell(value):
+        if value is None:
+            return ""
+        return format(value, ".9g") if isinstance(value, float) else str(value)
+    return "".join(",".join(map(cell, row)) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +171,8 @@ def _cmd_graph(args) -> int:
                "entries": [[float(v) for v in row] for row in matrix.entries]}
         _write_result(json.dumps(doc, indent=2) + "\n", args.out)
     else:
-        _write_result(_matrix_csv(matrix.entries), args.out)
+        # Python floats: numpy scalars take twice as long to format
+        _write_result(_csv(matrix.entries.tolist()), args.out)
     return 0
 
 
@@ -193,13 +198,10 @@ def _cmd_loss(args) -> int:
     result, _ = total_loss(pred, gt_parts, gt_objects, label_set.mapping, cfg, weights)
     if not np.isfinite(result.total):
         raise NumericError(f"loss is not finite: {result}")
-    if args.json:
-        doc = {"ce": result.ce, "rec": result.rec, "gm": result.gm, "total": result.total}
-        _write_result(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        text = (f"ce    {result.ce:.9g}\nrec   {result.rec:.9g}\n"
-                f"gm    {result.gm:.9g}\ntotal {result.total:.9g}\n")
-        _write_result(text, args.out)
+    doc = asdict(result)
+    width = max(map(len, doc))
+    text = "".join(f"{key:<{width}} {value:.9g}\n" for key, value in doc.items())
+    _write_result(json.dumps(doc, indent=2) + "\n" if args.json else text, args.out)
     return 0
 
 
@@ -216,22 +218,20 @@ def _cmd_metrics(args) -> int:
     for name in names:
         cm = confusion(load_map(pred_dir / name), load_map(gt_dir / name), label_set.num_parts)
         total = cm if total is None else total + cm
-    result = report(total, label_set)
+    doc = report(total, label_set).to_dict()
     if args.format == "csv":
-        lines = ["index,name,iou,pa"]
+        # one row per class with a column per per-class list, then one row per scalar
+        columns = {key.removeprefix("per_class_"): values for key, values in doc.items()
+                   if key.startswith("per_class_")}
         part_names = label_set.mapping.part_names or [f"part_{i}" for i in range(label_set.num_parts)]
-        for i in range(label_set.num_parts):
-            iou = result.per_class_iou[i]
-            pa = result.per_class_pa[i]
-            lines.append(f"{i},{part_names[i]},"
-                         f"{'' if not np.isfinite(iou) else format(iou, '.9g')},"
-                         f"{'' if not np.isfinite(pa) else format(pa, '.9g')}")
-        for key in ("miou", "mpa", "mca", "object_avg",
-                    "miou_with_background", "miou_without_background"):
-            lines.append(f"{key},,{format(getattr(result, key), '.9g')},")
-        _write_result("\n".join(lines) + "\n", args.out)
+        rows = [["index", "name", *columns]]
+        rows += [[i, name, *(values[i] for values in columns.values())]
+                 for i, name in enumerate(part_names)]
+        rows += [[key, "", value, *[""] * (len(columns) - 1)] for key, value in doc.items()
+                 if not isinstance(value, list)]
+        _write_result(_csv(rows), args.out)
     else:
-        _write_result(json.dumps(result.to_dict(), indent=2) + "\n", args.out)
+        _write_result(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
@@ -268,10 +268,9 @@ def _cmd_train_toy(args) -> int:
     params, trace = train_toy(train_scenes, mapping, net, weights, cfg, steps, lr, seed=seed)
 
     if args.trace:
-        lines = ["step,ce,rec,gm,total"]
-        for t, rep in enumerate(trace):
-            lines.append(f"{t},{rep.ce:.9g},{rep.rec:.9g},{rep.gm:.9g},{rep.total:.9g}")
-        Path(args.trace).write_text("\n".join(lines) + "\n")
+        rows = [["step", *asdict(trace[0])]]
+        rows += [[t, *asdict(rep).values()] for t, rep in enumerate(trace)]
+        _write_result(_csv(rows), args.trace)
     if args.params:
         save_params(params, args.params)
 
@@ -375,9 +374,8 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--json", dest="format", action="store_const", const="json")
     group.add_argument("--csv", dest="format", action="store_const", const="csv")
-    p.set_defaults(format="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_metrics)
+    p.set_defaults(format="json", func=_cmd_metrics)
 
     p = sub.add_parser("train-toy", parents=[common], help="gradient descent on synthetic scenes")
     p.add_argument("--config", default=None, help="JSON config; flags win over its values")
@@ -410,12 +408,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (DomainError, OSError, MemoryError) as exc:
+    except (DomainError, OSError, MemoryError, NumericError) as exc:
         sys.stderr.write(f"partgraph {args.command}: {str(exc) or 'out of memory'}\n")
-        return 2
-    except NumericError as exc:
-        sys.stderr.write(f"partgraph {args.command}: {exc}\n")
-        return 3
+        return 3 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

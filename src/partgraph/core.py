@@ -133,16 +133,12 @@ class PartsToObjectsMapping:
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
             raise DomainError(f"boundaries must be strictly increasing, got {b}")
         object.__setattr__(self, "boundaries", b)
-        if self.object_names is not None:
-            names = tuple(self.object_names)
-            if len(names) != len(b) - 1:
-                raise DomainError(f"expected {len(b) - 1} object names, got {len(names)}")
-            object.__setattr__(self, "object_names", names)
-        if self.part_names is not None:
-            names = tuple(self.part_names)
-            if len(names) != b[-1]:
-                raise DomainError(f"expected {b[-1]} part names, got {len(names)}")
-            object.__setattr__(self, "part_names", names)
+        for attr, count in (("object_names", len(b) - 1), ("part_names", b[-1])):
+            if getattr(self, attr) is not None:
+                names = tuple(getattr(self, attr))
+                if len(names) != count:
+                    raise DomainError(f"expected {count} {attr.replace('_', ' ')}, got {len(names)}")
+                object.__setattr__(self, attr, names)
 
     @property
     def num_objects(self) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import stat
 import struct
 from pathlib import Path
@@ -106,55 +107,45 @@ def load_segmap(path: str | Path) -> LabelMap:
 # PGM import/export
 # ---------------------------------------------------------------------------
 
-def _pgm_tokens(data: bytes):
-    """Yield header tokens, skipping '#' comments."""
-    i = 0
-    while i < len(data):
-        if data[i : i + 1].isspace():
-            i += 1
-        elif data[i : i + 1] == b"#":
-            j = data.find(b"\n", i)
-            i = len(data) if j < 0 else j + 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace():
-                j += 1
-            yield data[i:j], j
-            i = j
+# the magic number, then width, height and maxval, each after whitespace or
+# '#' comments that run to the end of their line, then one whitespace byte
+_PGM_HEADER = re.compile(rb"(P[0-9])" + rb"(?:(?:\s|#[^\n]*\n)+([0-9]+))" * 3 + rb"\s")
+
+
+def _pgm_sample(maxval: int) -> np.dtype:
+    """The P5 sample type: one byte below 256, else two bytes big-endian."""
+    return np.dtype(np.uint8 if maxval < 256 else ">u2")
 
 
 def load_pgm(path: str | Path) -> LabelMap:
     """Read a P2 or P5 PGM; num_classes is maxval + 1."""
     data = Path(path).read_bytes()
-    tokens = _pgm_tokens(data)
-    try:
-        magic, _ = next(tokens)
-        (w_tok, _), (h_tok, _), (m_tok, end) = next(tokens), next(tokens), next(tokens)
-        width, height, maxval = int(w_tok), int(h_tok), int(m_tok)
-    except (StopIteration, ValueError) as exc:
-        raise DomainError(f"malformed PGM header in {path}") from exc
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise DomainError(f"malformed PGM header in {path}")
+    magic, *numbers = header.groups()
     if magic not in (b"P2", b"P5"):
         raise DomainError(f"unsupported PGM magic {magic!r}")
+    try:  # int() refuses numbers longer than sys.get_int_max_str_digits()
+        width, height, maxval = map(int, numbers)
+    except ValueError as exc:
+        raise DomainError(f"malformed PGM header in {path}") from exc
     if width < 1 or height < 1 or maxval < 1 or maxval > 65535:
         raise DomainError(f"bad PGM header: width={width} height={height} maxval={maxval}")
     n = width * height
     if magic == b"P2":
         try:
-            values = np.array(data[end:].split(), dtype=np.int64)
-        except ValueError as exc:
-            raise DomainError("non-numeric sample in P2 payload") from exc
+            values = np.array(data[header.end():].split(), dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError("P2 samples must be integers that fit int64") from exc
         if values.size != n:
             raise DomainError(f"P2 payload has {values.size} samples, expected {n}")
     else:
-        payload = data[end + 1 : ]  # single whitespace byte after maxval
-        if maxval < 256:
-            if len(payload) < n:
-                raise DomainError(f"truncated P5 payload: {len(payload)} bytes, expected {n}")
-            values = np.frombuffer(payload[:n], dtype=np.uint8).astype(np.int64)
-        else:
-            if len(payload) < 2 * n:
-                raise DomainError(f"truncated P5 payload: {len(payload)} bytes, expected {2 * n}")
-            values = np.frombuffer(payload[: 2 * n], dtype=">u2").astype(np.int64)
+        sample = _pgm_sample(maxval)
+        size, expected = len(data) - header.end(), n * sample.itemsize
+        if size < expected:
+            raise DomainError(f"truncated P5 payload: {size} bytes, expected {expected}")
+        values = np.frombuffer(data, sample, count=n, offset=header.end()).astype(np.int64)
     if values.max() > maxval:
         raise DomainError(f"sample {values.max()} exceeds maxval {maxval}")
     labels = values.reshape(height, width).astype(np.int32)
@@ -171,12 +162,10 @@ def save_pgm(label_map: LabelMap, path: str | Path, ascii_format: bool = False) 
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
         if ascii_format:
-            lines = ["\n".join(" ".join(str(v) for v in row) for row in label_map.labels)]
-            f.write(("\n".join(lines) + "\n").encode("ascii"))
-        elif maxval < 256:
-            f.write(label_map.labels.astype(np.uint8).tobytes())
+            rows = "\n".join(" ".join(str(v) for v in row) for row in label_map.labels)
+            f.write((rows + "\n").encode("ascii"))
         else:
-            f.write(label_map.labels.astype(">u2").tobytes())
+            f.write(label_map.labels.astype(_pgm_sample(maxval)).tobytes())
 
 
 def load_map(path: str | Path) -> LabelMap:

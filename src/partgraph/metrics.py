@@ -20,7 +20,7 @@ class 0 as background, a background-free variant is reported alongside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,19 +89,12 @@ class MetricReport:
     miou_without_background: float
 
     def to_dict(self) -> dict:
+        """Every field in declaration order, as JSON values: NaN becomes None."""
         def clean(v):
+            if np.ndim(v):
+                return [clean(x) for x in v]
             return None if not np.isfinite(v) else float(v)
-        return {
-            "per_class_iou": [clean(v) for v in self.per_class_iou],
-            "per_class_pa": [clean(v) for v in self.per_class_pa],
-            "miou": clean(self.miou),
-            "mpa": clean(self.mpa),
-            "mca": clean(self.mca),
-            "per_object_miou": [clean(v) for v in self.per_object_miou],
-            "object_avg": clean(self.object_avg),
-            "miou_with_background": clean(self.miou_with_background),
-            "miou_without_background": clean(self.miou_without_background),
-        }
+        return {field.name: clean(getattr(self, field.name)) for field in fields(self)}
 
 
 def report(cm: ConfusionMatrix, label_set: LabelSet) -> MetricReport:

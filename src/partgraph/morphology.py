@@ -150,8 +150,8 @@ def soft_dilate_forward(stack: np.ndarray, elem: StructuringElement,
     """
     # contiguous, so that every array derived from x is laid out row-major too
     x = np.ascontiguousarray(stack, dtype=np.float64)
-    if x.ndim < 2:
-        raise DomainError(f"expected (..., H, W) fields, got shape {x.shape}")
+    if x.ndim < 2 or x.size == 0:
+        raise DomainError(f"expected nonempty (..., H, W) fields, got shape {x.shape}")
     # written so that NaN fails it: np.maximum would carry NaN through hard_max
     if not (x.min() >= 0.0 and x.max() <= 1.0 + 1e-6):
         raise DomainError("soft dilation expects values in [0, 1]")

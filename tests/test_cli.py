@@ -16,9 +16,11 @@ from partgraph import (
     PartsToObjectsMapping,
     ProbMap,
     adjacency_from_labels,
+    confusion,
     load_labelset,
     one_hot,
     project_labels,
+    report,
     save_labelset,
     save_map,
     save_probmap,
@@ -261,6 +263,66 @@ def test_metrics_command(tmp_path, scene_files):
                          "--labelset", str(base / "labelset.json"), "--csv")
     assert csv_result.returncode == 0
     assert csv_result.stdout.decode().startswith("index,name,iou,pa")
+
+
+def test_metrics_renders_absent_classes_as_null_and_empty_cells(tmp_path, capsys):
+    # classes 2 and 5 appear in neither map, so their IoU and PA are undefined
+    label_set = LabelSet(PartsToObjectsMapping((0, 1, 3, 6), part_names=tuple("abcdef")))
+    save_labelset(label_set, tmp_path / "labelset.json")
+    gt = LabelMap(np.array([[0, 0, 1, 3], [4, 4, 1, 0]], dtype=np.int32), num_classes=6)
+    pred = LabelMap(np.array([[0, 1, 1, 3], [4, 0, 3, 0]], dtype=np.int32), num_classes=6)
+    for name, label_map in (("pred", pred), ("gt", gt)):
+        (tmp_path / name).mkdir()
+        save_map(label_map, tmp_path / name / "x.segmap")
+    expected = report(confusion(pred, gt, 6), label_set)
+    argv = ["metrics", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(tmp_path / "gt"),
+            "--labelset", str(tmp_path / "labelset.json")]
+
+    assert cli.main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == expected.to_dict()
+    assert list(doc) == ["per_class_iou", "per_class_pa", "miou", "mpa", "mca",
+                         "per_object_miou", "object_avg", "miou_with_background",
+                         "miou_without_background"]
+    assert doc["per_class_iou"][2] is None and doc["per_class_pa"][5] is None
+    assert doc["per_class_iou"][0] == expected.per_class_iou[0]
+
+    assert cli.main(argv + ["--csv"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["index", "name", "iou", "pa"]
+    assert rows[3] == ["2", "c", "", ""] and rows[6] == ["5", "f", "", ""]
+    assert rows[1] == ["0", "a", format(expected.per_class_iou[0], ".9g"),
+                       format(expected.per_class_pa[0], ".9g")]
+    summary = rows[7:]
+    assert [row[0] for row in summary] == ["miou", "mpa", "mca", "object_avg",
+                                           "miou_with_background", "miou_without_background"]
+    for key, blank, value, pa in summary:
+        assert (blank, pa) == ("", "")
+        assert value == format(getattr(expected, key), ".9g")
+
+
+def test_loss_text_and_trace_layout(tmp_path, scene_files, capsys):
+    base, _, _ = scene_files
+    argv = ["loss", "--pred", str(base / "pred.probmap"), "--gt", str(base / "parts.segmap"),
+            "--mapping", str(base / "labelset.json")]
+    assert cli.main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert re.fullmatch(r"ce    \S+\nrec   \S+\ngm    \S+\ntotal \S+\n", text), text
+    assert [line.split()[1] for line in text.splitlines()] == [
+        format(doc[key], ".9g") for key in ("ce", "rec", "gm", "total")]
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"scene": SMALL_SCENE, "train_scenes": 1}))
+    trace = tmp_path / "trace.csv"
+    assert cli.main(["train-toy", "--config", str(config), "--steps", "2",
+                     "--trace", str(trace)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "step,ce,rec,gm,total"
+    assert lines[2] == ",".join(["1", *(format(summary[f"final_{key}"], ".9g")
+                                        for key in ("ce", "rec", "gm", "total"))])
 
 
 def test_synth_command_writes_triples(tmp_path):

@@ -116,6 +116,56 @@ def test_pgm_malformed(tmp_path):
         load_pgm(path)
 
 
+@pytest.mark.parametrize("raw", [
+    b"P5\n# made by hand\n3 # width\n# height next\n1\n# maxval\n255\n\x00\x01\x02",
+    b"P5#c\n3#c\n1#c\n255\n\x00\x01\x02",  # comments glued to the magic and numbers
+    b"P5 3 1 255\n\x00\x01\x02trailing bytes",  # bytes after the raster are ignored
+    b"P2\n#c\n3#c\n1\n255\n0 1 2\n",
+])
+def test_pgm_header_comments_and_trailing_bytes(tmp_path, raw):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(raw)
+    m = load_pgm(path)
+    assert m.labels.tolist() == [[0, 1, 2]]
+    assert m.num_classes == 256
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b" P5\n2 1\n255\n\x00\x01", "malformed"),  # the magic number opens the file
+    (b"# c\nP5\n2 1\n255\n\x00\x01", "malformed"),
+    (b"P5\n+2 1\n255\n\x00\x01", "malformed"),  # header numbers are unsigned decimals
+    (b"P5\n2 -1\n255\n\x00\x01", "malformed"),
+    (b"P5\n2 1\n2_55\n\x00\x01", "malformed"),
+    (b"P5\n2 1\n255#c\n\x00\x01", "malformed"),  # one whitespace byte ends the header
+    (b"P5\n2 1\n" + b"9" * 5000 + b"\n\x00\x01", "malformed"),
+    (b"P6\n2 1\n255\n\x00\x01\x02\x03\x04\x05", "unsupported PGM magic"),
+    (b"P5\n2 1\n256\n\x00\x01\x00", "truncated"),  # 16-bit samples, one byte short
+    (b"P5\n2 1\n65536\n\x00\x01\x00\x02", "bad PGM header"),
+    (b"P2\n2 1\n255\n0 99999999999999999999\n", "P2 samples"),
+])
+def test_pgm_header_rejections(tmp_path, raw, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(DomainError, match=message):
+        load_pgm(path)
+
+
+def test_pgm_sample_width_follows_maxval(tmp_path):
+    for maxval, sample_bytes in ((1, 1), (6, 1), (255, 1), (256, 2), (999, 2), (65535, 2)):
+        labels = np.array([[0, maxval], [maxval // 2, 1]], dtype=np.int32)
+        m = LabelMap(labels, num_classes=maxval + 1)
+        for ascii_format in (False, True):
+            path = tmp_path / f"m{maxval}_{ascii_format}.pgm"
+            save_pgm(m, path, ascii_format=ascii_format)
+            back = load_pgm(path)
+            assert np.array_equal(back.labels, labels) and back.num_classes == maxval + 1
+        header = f"P5\n2 2\n{maxval}\n".encode()
+        raw = (tmp_path / f"m{maxval}_False.pgm").read_bytes()
+        assert raw.startswith(header) and len(raw) == len(header) + 4 * sample_bytes
+        if sample_bytes == 2:  # netpbm puts the most significant byte first
+            assert raw[len(header) + 2 : len(header) + 4] == maxval.to_bytes(2, "big")
+
+
 def test_load_save_map_dispatch(tmp_path):
     rng = np.random.default_rng(6)
     labels = rng.integers(0, 5, (16, 16)).astype(np.int32)

@@ -136,6 +136,14 @@ def test_soft_dilate_rejects_values_outside_unit_range(mode, bad):
         soft_dilate(field, StructuringElement("square", 1), mode=mode)
 
 
+@pytest.mark.parametrize("mode", ["hard_max", "smooth_max"])
+@pytest.mark.parametrize("shape", [(0, 4, 4), (4, 0), (3, 4, 0)])
+def test_soft_dilate_rejects_zero_size_stacks(mode, shape):
+    # the range check reduces over the stack, which numpy refuses for zero size
+    with pytest.raises(DomainError, match="nonempty"):
+        soft_dilate(np.zeros(shape), StructuringElement("square", 1), mode=mode)
+
+
 def test_smooth_max_dominates_hard_max_until_clamp():
     rng = np.random.default_rng(10)
     field = rng.random((6, 6)) * 0.5
