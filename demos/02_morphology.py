@@ -7,7 +7,7 @@ smooth-max variant trades exactness for a usable gradient.
 import numpy as np
 
 import partgraph as pg
-from partgraph.morphology import soft_dilate_backward, soft_dilate_forward
+from partgraph.morphology import dilate_array, soft_dilate_backward, soft_dilate_forward
 
 
 def render(bits):
@@ -18,12 +18,11 @@ def render(bits):
 def main():
     bits = np.zeros((7, 7), dtype=bool)
     bits[3, 3] = True
-    mask = pg.BinaryMask(bits)
 
     for shape in ("square", "diamond"):
-        grown = pg.dilate(mask, pg.StructuringElement(shape, 2))
+        grown = dilate_array(bits, pg.StructuringElement(shape, 2))
         print(f"single center pixel dilated by a {shape} element of radius 2:")
-        render(grown.bits)
+        render(grown)
 
     field = np.zeros((5, 5))
     field[2, 2] = 0.9

@@ -49,19 +49,19 @@ from .formats import (
 )
 from .losses import LossReport, LossWeights, cross_entropy, reconstruction_loss, total_loss
 from .metrics import ConfusionMatrix, MetricReport, confusion, report
-from .morphology import BinaryMask, StructuringElement, dilate, soft_dilate
+from .morphology import StructuringElement, soft_dilate
 from .rng import Xorshift64Star
 from .synth import SceneSpec, generate, generate_dataset
 
 __all__ = [
-    "AdjacencyConfig", "AdjacencyMatrix", "BinaryMask", "ConfusionMatrix",
-    "DomainError", "EmbeddingConfig", "LabelMap", "LabelSet", "LossReport",
-    "LossWeights", "MetricReport", "NumericError", "PartsToObjectsMapping",
-    "ProbMap", "SceneSpec", "StructuringElement", "ToyNetConfig",
-    "Xorshift64Star", "adjacency_from_labels", "argmax_map", "confusion",
-    "conv2d_backward", "conv2d_forward", "cross_entropy", "dilate", "generate",
-    "generate_dataset", "init_toy_params", "load_labelset", "load_map",
-    "load_params", "load_probmap", "mean_gm_loss", "normalize_rows", "one_hot",
+    "AdjacencyConfig", "AdjacencyMatrix", "ConfusionMatrix", "DomainError",
+    "EmbeddingConfig", "LabelMap", "LabelSet", "LossReport", "LossWeights",
+    "MetricReport", "NumericError", "PartsToObjectsMapping", "ProbMap",
+    "SceneSpec", "StructuringElement", "ToyNetConfig", "Xorshift64Star",
+    "adjacency_from_labels", "argmax_map", "confusion", "conv2d_backward",
+    "conv2d_forward", "cross_entropy", "generate", "generate_dataset",
+    "init_toy_params", "load_labelset", "load_map", "load_params",
+    "load_probmap", "mean_gm_loss", "normalize_rows", "one_hot",
     "project_labels", "reconstruction_loss", "report", "save_labelset",
     "save_map", "save_params", "save_ppm", "save_probmap", "soft_adjacency",
     "soft_dilate", "sum_probability", "total_loss", "toy_forward", "train_toy",

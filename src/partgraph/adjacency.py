@@ -5,9 +5,12 @@ strongly the two parts touch in an image. Raw entry (i, j) counts pixels in
 the intersection of the two part masks after each is dilated by half the
 distance threshold, so parts separated by a thin gap still register: the
 pixels whose window holds both parts. The discrete path dilates per-pixel
-part bitsets once, so each pixel holds the set of parts in its window, and
-adds each distinct set's pixel count to every pair in it. Rows are then
-L2-normalized into proximity ratios, and the graph-matching loss is the
+part bitsets once, so each pixel holds the set of parts in its window.
+Sorted on all their words, the pixels fall into one run per distinct set,
+whose length is the set's pixel count. Unpacked into 0/1 part-membership
+rows M, the sets give every pair's count as an entry of (M * counts)^T M,
+summed over chunks of sets whose size follows from the image size. Rows are
+then L2-normalized into proximity ratios, and the graph-matching loss is the
 Frobenius distance between the reference and predicted normalized matrices.
 
 The prediction-side path is differentiable: part masks are replaced by
@@ -149,17 +152,24 @@ def adjacency_from_labels(label_map: LabelMap, num_parts: int,
     sets = np.zeros((-(-present.size // 64), part.size), dtype=np.uint64)
     sets[part >> 6, np.arange(part.size)] = np.uint64(1) << (part & 63).astype(np.uint64)
     sets = dilate_array(sets.reshape((-1,) + labels.shape), cfg.element).reshape(sets.shape)
-    # a one-word set is its own key, and wider ones are opaque byte keys: np.unique's
-    # axis= mode sorts them field by field, ~60 against ~12 ms at 109 parts, 256x256
-    keys = sets[0] if len(sets) == 1 else np.ascontiguousarray(sets.T).view(
-        np.dtype((np.void, sets.itemsize * len(sets))))
-    windows, counts = np.unique(keys, return_counts=True)
-    del part, sets, keys  # freed before the matrices are built, for the peak memory
-    shifts = np.arange(64, dtype=np.uint64)
+    # the distinct window sets are the runs of the pixels sorted on all their words
+    sets = sets[:, np.lexsort(sets)]
+    starts = np.flatnonzero(np.r_[True, (sets[:, 1:] != sets[:, :-1]).any(axis=0)])
+    counts = np.diff(np.r_[starts, part.size]).astype(np.float64)
+    windows = np.ascontiguousarray(sets[:, starts].T, dtype="<u8")
+    del part, sets  # freed before the matrices are built, for the peak memory
+    # block[i, j] sums the counts of the sets that hold present parts i and j: a
+    # product of 0/1 membership rows, H * W / 64 sets at a time, so that a chunk's
+    # float rows take about the bytes of the bitsets
+    block = np.zeros((present.size, present.size))
+    chunk = max(1, labels.size // 64)
+    for lo in range(0, counts.size, chunk):
+        members = np.unpackbits(windows[lo:lo + chunk].view(np.uint8), axis=1,
+                                count=present.size, bitorder="little").astype(np.float64)
+        block += (members * counts[lo:lo + chunk, None]).T @ members
     raw = np.zeros((num_parts, num_parts))
-    for words, count in zip(windows.view(np.uint64).reshape(counts.size, -1), counts):
-        held = present[np.flatnonzero((words[:, None] >> shifts) & 1)]
-        raw[held[:, None], held] += count
+    raw[np.ix_(present, present)] = block
+    del windows, members, block  # freed before the matrix is checked and copied
     np.fill_diagonal(raw, 0.0)
     if not cfg.include_background:
         raw[0] = raw[:, 0] = 0.0

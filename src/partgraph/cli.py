@@ -66,12 +66,10 @@ def _write_result(text: str, out: str | None) -> None:
 
 
 def _csv(rows) -> str:
-    """CSV text: floats as %.9g, None (an undefined metric) as an empty cell."""
-    def cell(value):
-        if value is None:
-            return ""
-        return format(value, ".9g") if isinstance(value, float) else str(value)
-    return "".join(",".join(map(cell, row)) + "\n" for row in rows)
+    """CSV text, one %-template a row: floats as %.9g, other values as %s, and
+    None (an undefined metric) as an empty cell."""
+    return "".join(",".join(["%.9g" if isinstance(v, float) else "%s" for v in row])
+                   % tuple(["" if v is None else v for v in row]) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------

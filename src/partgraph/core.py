@@ -148,12 +148,6 @@ class PartsToObjectsMapping:
     def num_parts(self) -> int:
         return self.boundaries[-1]
 
-    def parts_of(self, obj: int) -> range:
-        """Part indices owned by object ``obj``."""
-        if not 0 <= obj < self.num_objects:
-            raise DomainError(f"object index {obj} out of range for {self.num_objects} objects")
-        return range(self.boundaries[obj], self.boundaries[obj + 1])
-
     def object_lookup(self) -> np.ndarray:
         """Array of length num_parts mapping each part index to its object index."""
         sizes = np.diff(np.asarray(self.boundaries, dtype=np.int64))

@@ -62,21 +62,6 @@ def whole_number(value, what: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class BinaryMask:
-    """H x W boolean mask, row-major."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.bits)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DomainError(f"mask must be 2D with positive dims, got shape {arr.shape}")
-        arr = arr.astype(bool, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
-
-
 def check_beta(beta: float) -> None:
     """Reject a smooth-max sharpness outside (0, MAX_BETA], NaN included."""
     if not 0.0 < beta <= MAX_BETA:
@@ -119,15 +104,12 @@ def _window_reduce(x: np.ndarray, elem: StructuringElement, op, start) -> np.nda
     return out
 
 
-def dilate(mask: BinaryMask, elem: StructuringElement) -> BinaryMask:
-    """Binary dilation of ``mask`` by ``elem``, border-clipped."""
-    return BinaryMask(dilate_array(mask.bits, elem))
-
-
 def dilate_array(bits: np.ndarray, elem: StructuringElement) -> np.ndarray:
-    """Array-in, array-out :func:`dilate` of a (..., H, W) stack of masks, or of
-    unsigned-integer bitsets, which keep their dtype."""
+    """Binary dilation by ``elem``, border-clipped, of a (..., H, W) stack of
+    masks, or of unsigned-integer bitsets, which keep their dtype."""
     bits = np.asarray(bits)
+    if bits.ndim < 2:
+        raise DomainError(f"expected (..., H, W) masks, got shape {bits.shape}")
     return _window_reduce(bits if bits.dtype.kind == "u" else bits.astype(bool), elem,
                           np.bitwise_or, 0)
 

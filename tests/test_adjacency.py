@@ -116,12 +116,14 @@ def sparse_label_map(rng, h, w, present, num_parts):
 def test_dilate_intersect_matches_pixel_pair_oracle(shape):
     # (map, num_parts, T): small maps; 63 to 130 present parts, on both sides
     # of the 64-part words of the bitsets; a high-entropy map; a radius past
-    # the image
+    # the image; a 300-class 96 x 96 map, whose ~9,000 window sets span many
+    # chunks of the membership product
     rng = np.random.default_rng(3 + (shape == "diamond"))
     cases = [(random_label_map(rng, 10, 8, 5), 5, 4) for _ in range(5)]
     cases += [(sparse_label_map(rng, 16, 12, present, present + 9), present + 9, 2)
               for present in (63, 64, 65, 130)]
-    cases += [(random_label_map(rng, 20, 20, 250), 250, 3), (random_label_map(rng, 6, 5, 7), 7, 20)]
+    cases += [(random_label_map(rng, 20, 20, 250), 250, 3), (random_label_map(rng, 6, 5, 7), 7, 20),
+              (random_label_map(rng, 96, 96, 300), 300, 4)]
     for m, num_parts, t in cases:
         counts = dilate_intersect_oracle(m.labels, num_parts, shape, (t + 1) // 2)
         for weighting in ("weighted", "unweighted"):

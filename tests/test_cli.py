@@ -160,6 +160,14 @@ def test_graph_json_and_normalized(scene_files):
     assert np.abs(norms[norms > 0] - 1.0).max() < 1e-9
 
 
+def test_csv_cells_keep_their_9g_text():
+    # the bytes format(v, ".9g") gives a float, str(v) any other value and ""
+    # a None (an undefined metric), non-finite, signed-zero and tiny floats included
+    rows = [[float("nan"), float("inf"), -0.0, 1e-300, 7, "part_1", None],
+            [0.1, 2.0, 123456789012.0, True]]
+    assert cli._csv(rows) == "nan,inf,-0,1e-300,7,part_1,\n0.1,2,1.23456789e+11,True\n"
+
+
 def test_graph_missing_file_is_a_data_error(tmp_path):
     result = run_cli("graph", "--in", str(tmp_path / "missing.segmap"), "--parts", "3")
     assert result.returncode == 2

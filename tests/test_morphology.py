@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from partgraph import BinaryMask, DomainError, StructuringElement, dilate, soft_dilate
+from partgraph import DomainError, StructuringElement, soft_dilate
 from partgraph.morphology import dilate_array, soft_dilate_backward, soft_dilate_forward
 
 from oracles import (
@@ -18,14 +18,20 @@ from oracles import (
 def test_element_neighborhoods():
     center = np.zeros((5, 5), dtype=bool)
     center[2, 2] = True
-    square = dilate(BinaryMask(center), StructuringElement("square", 1)).bits
+    square = dilate_array(center, StructuringElement("square", 1))
     assert square.sum() == 9 and square[1:4, 1:4].all()
-    diamond = dilate(BinaryMask(center), StructuringElement("diamond", 1)).bits
+    diamond = dilate_array(center, StructuringElement("diamond", 1))
     assert sorted(zip(*np.nonzero(diamond))) == [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]
     with pytest.raises(DomainError):
         StructuringElement("circle", 1)
     with pytest.raises(DomainError):
         StructuringElement("square", -1)
+
+
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_dilate_array_rejects_fewer_than_two_dimensions(shape):
+    with pytest.raises(DomainError, match=r"\(\.\.\., H, W\)"):
+        dilate_array(np.zeros(shape, dtype=bool), StructuringElement("square", 1))
 
 
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 2.5])
@@ -35,23 +41,23 @@ def test_element_rejects_a_radius_that_is_not_a_whole_number(radius):
 
 
 def test_dilate_empty_and_identity():
-    empty = BinaryMask(np.zeros((4, 5), dtype=bool))
+    empty = np.zeros((4, 5), dtype=bool)
     for shape in ("square", "diamond"):
-        out = dilate(empty, StructuringElement(shape, 3))
-        assert not out.bits.any()
+        out = dilate_array(empty, StructuringElement(shape, 3))
+        assert not out.any()
     rng = np.random.default_rng(0)
-    mask = BinaryMask(rng.random((6, 6)) < 0.4)
-    out = dilate(mask, StructuringElement("square", 0))
-    assert np.array_equal(out.bits, mask.bits)
+    mask = rng.random((6, 6)) < 0.4
+    out = dilate_array(mask, StructuringElement("square", 0))
+    assert np.array_equal(out, mask)
 
 
 def test_dilate_center_pixel_fills_canvas():
     bits = np.zeros((5, 5), dtype=bool)
     bits[2, 2] = True
-    out = dilate(BinaryMask(bits), StructuringElement("square", 2))
+    out = dilate_array(bits, StructuringElement("square", 2))
     want = dilate_oracle(bits, "square", 2)
     assert want.all()  # radius 2 from the center covers the 5x5 canvas
-    assert np.array_equal(out.bits, want)
+    assert np.array_equal(out, want)
 
 
 @pytest.mark.parametrize("shape", ["square", "diamond"])
@@ -60,8 +66,8 @@ def test_dilate_matches_neighborhood_scan(shape, radius):
     rng = np.random.default_rng(radius * 11 + (shape == "diamond"))
     for _ in range(5):
         bits = rng.random((9, 7)) < 0.25
-        out = dilate(BinaryMask(bits), StructuringElement(shape, radius))
-        assert np.array_equal(out.bits, dilate_oracle(bits, shape, radius))
+        out = dilate_array(bits, StructuringElement(shape, radius))
+        assert np.array_equal(out, dilate_oracle(bits, shape, radius))
 
 
 def test_dilate_extensive_and_monotone():
@@ -69,8 +75,8 @@ def test_dilate_extensive_and_monotone():
     elem = StructuringElement("diamond", 2)
     small = rng.random((8, 8)) < 0.3
     large = small | (rng.random((8, 8)) < 0.2)
-    d_small = dilate(BinaryMask(small), elem).bits
-    d_large = dilate(BinaryMask(large), elem).bits
+    d_small = dilate_array(small, elem)
+    d_large = dilate_array(large, elem)
     assert np.all(d_small >= small)  # extensivity
     assert np.all(d_large >= d_small)  # monotonicity
 
@@ -78,10 +84,10 @@ def test_dilate_extensive_and_monotone():
 def test_square_dilations_compose_additively():
     rng = np.random.default_rng(6)
     bits = rng.random((10, 10)) < 0.15
-    twice = dilate(dilate(BinaryMask(bits), StructuringElement("square", 1)),
-                   StructuringElement("square", 2))
-    once = dilate(BinaryMask(bits), StructuringElement("square", 3))
-    assert np.array_equal(twice.bits, once.bits)
+    twice = dilate_array(dilate_array(bits, StructuringElement("square", 1)),
+                         StructuringElement("square", 2))
+    once = dilate_array(bits, StructuringElement("square", 3))
+    assert np.array_equal(twice, once)
 
 
 def test_soft_hard_max_equals_dilate_on_binary_fields():
@@ -89,8 +95,8 @@ def test_soft_hard_max_equals_dilate_on_binary_fields():
     bits = rng.random((7, 7)) < 0.3
     elem = StructuringElement("square", 2)
     soft = soft_dilate(bits.astype(float), elem, mode="hard_max")
-    hard = dilate(BinaryMask(bits), elem)
-    assert np.array_equal(soft, hard.bits.astype(float))
+    hard = dilate_array(bits, elem)
+    assert np.array_equal(soft, hard.astype(float))
 
 
 def test_soft_constant_field_is_fixed_point():
