@@ -4,14 +4,16 @@ A part-adjacency matrix measures, for every pair of part classes, how
 strongly the two parts touch in an image. Raw entry (i, j) counts pixels in
 the intersection of the two part masks after each is dilated by half the
 distance threshold, so parts separated by a thin gap still register: the
-pixels whose window holds both parts. The discrete path dilates per-pixel
-part bitsets once, so each pixel holds the set of parts in its window.
-Sorted on all their words, the pixels fall into one run per distinct set,
-whose length is the set's pixel count. Unpacked into 0/1 part-membership
-rows M, the sets give every pair's count as an entry of (M * counts)^T M,
-summed over chunks of sets whose size follows from the image size. Rows are
-then L2-normalized into proximity ratios, and the graph-matching loss is the
-Frobenius distance between the reference and predicted normalized matrices.
+pixels whose window holds both parts. The discrete path numbers the present
+parts from a label histogram and dilates per-pixel part bitsets once, so
+each pixel holds the set of parts in its window. Pixels next in raster order
+with equal sets merge into runs; sorted on all their words, the runs fall
+into one group per distinct set, whose lengths sum to the set's pixel count.
+Unpacked into 0/1 part-membership rows M, the sets give every pair's count
+as an entry of (M * counts)^T M, summed over chunks of sets whose size
+follows from the image size. Rows are then L2-normalized into proximity
+ratios, and the graph-matching loss is the Frobenius distance between the
+reference and predicted normalized matrices.
 
 The prediction-side path is differentiable: part masks are replaced by
 soft-dilated probability channels and the count becomes a sum of products.
@@ -135,6 +137,11 @@ def _apply_weighting(raw: np.ndarray, weighting: str) -> np.ndarray:
     return raw
 
 
+def _run_starts(sets: np.ndarray) -> np.ndarray:
+    """First column of each run of equal columns, on all the words of (words, n) bitsets."""
+    return np.flatnonzero(np.r_[True, (sets[:, 1:] != sets[:, :-1]).any(axis=0)])
+
+
 def adjacency_from_labels(label_map: LabelMap, num_parts: int,
                           cfg: AdjacencyConfig) -> AdjacencyMatrix:
     """Raw-count adjacency matrix of a discrete label map."""
@@ -147,17 +154,27 @@ def adjacency_from_labels(label_map: LabelMap, num_parts: int,
     labels = label_map.labels
     _check_labels_below(labels, num_parts)
 
-    # present part k is bit k % 64 of word k // 64 of each pixel's bitset
-    present, part = np.unique(labels.ravel(), return_inverse=True)
-    sets = np.zeros((-(-present.size // 64), part.size), dtype=np.uint64)
-    sets[part >> 6, np.arange(part.size)] = np.uint64(1) << (part & 63).astype(np.uint64)
+    # present part k is bit k % 64 of word k // 64 of each pixel's bitset; the
+    # histogram numbers the present parts and is as long as the largest label
+    hist = np.bincount(labels.ravel())
+    present = np.flatnonzero(hist)
+    part = (np.cumsum(hist > 0) - 1)[labels.ravel()]
+    sets = np.where(part >> 6 == np.arange(-(-present.size // 64))[:, None],
+                    np.uint64(1) << (part & 63).astype(np.uint64), np.uint64(0))
+    del hist, part
     sets = dilate_array(sets.reshape((-1,) + labels.shape), cfg.element).reshape(sets.shape)
-    # the distinct window sets are the runs of the pixels sorted on all their words
-    sets = sets[:, np.lexsort(sets)]
-    starts = np.flatnonzero(np.r_[True, (sets[:, 1:] != sets[:, :-1]).any(axis=0)])
-    counts = np.diff(np.r_[starts, part.size]).astype(np.float64)
+    # raster runs of equal sets, as (first pixel, length); sorted on all their
+    # words, the runs fall into one group per distinct set, whose lengths sum to
+    # the set's pixel count
+    heads = _run_starts(sets)
+    lengths = np.diff(np.r_[heads, labels.size])
+    sets = sets[:, heads]
+    order = np.lexsort(sets)
+    sets, lengths = sets[:, order], lengths[order]
+    starts = _run_starts(sets)
+    counts = np.add.reduceat(lengths, starts).astype(np.float64)
     windows = np.ascontiguousarray(sets[:, starts].T, dtype="<u8")
-    del part, sets  # freed before the matrices are built, for the peak memory
+    del heads, order, lengths, sets  # freed before the matrices are built, for the peak memory
     # block[i, j] sums the counts of the sets that hold present parts i and j: a
     # product of 0/1 membership rows, H * W / 64 sets at a time, so that a chunk's
     # float rows take about the bytes of the bitsets

@@ -35,19 +35,18 @@ def pixel_distance(dy: int, dx: int, shape: str) -> int:
 
 
 def dilate_oracle(bits: np.ndarray, shape: str, radius: int) -> np.ndarray:
-    """A pixel is set iff some set input pixel lies within ``radius`` of it."""
+    """A pixel is set iff some set input pixel lies within ``radius`` of it: the
+    OR over every offset (dy, dx) within ``radius`` of the mask shifted by it,
+    out[y, x] |= bits[y + dy, x + dx], with the pixels shifted past the border
+    dropped."""
     h, w = bits.shape
-    ys, xs = np.nonzero(bits)
-    out = np.zeros_like(bits, dtype=bool)
-    for y in range(h):
-        for x in range(w):
-            if ys.size == 0:
+    out = np.zeros((h, w), dtype=bool)
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            if pixel_distance(dy, dx, shape) > radius or abs(dy) >= h or abs(dx) >= w:
                 continue
-            if shape == "square":
-                d = np.maximum(np.abs(ys - y), np.abs(xs - x))
-            else:
-                d = np.abs(ys - y) + np.abs(xs - x)
-            out[y, x] = bool(np.any(d <= radius))
+            out[max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)] |= (
+                bits[max(0, dy):h + min(0, dy), max(0, dx):w + min(0, dx)] != 0)
     return out
 
 
