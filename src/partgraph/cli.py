@@ -16,7 +16,6 @@ key or a wrongly typed value is a data error (exit 2).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import typing
@@ -67,19 +66,10 @@ def _write_result(text: str, out: str | None) -> None:
 
 
 def _csv(rows) -> str:
-    """CSV text, one %-template for each tuple of cell types: floats (numpy's
-    included) as %.9g, None (an undefined metric) as an empty cell, and other
-    values as %s."""
-    templates = {}
-    lines = []
-    for row in rows:
-        kinds = tuple(map(type, row))
-        if kinds not in templates:
-            templates[kinds] = ",".join([
-                "%.9g" if issubclass(k, float) else "%.0s" if k is type(None) else "%s"
-                for k in kinds]) + "\n"
-        lines.append(templates[kinds] % tuple(row))
-    return "".join(lines)
+    """CSV text, one %-template a row: floats as %.9g, other values as %s, and
+    None (an undefined metric) as an empty cell."""
+    return "".join(",".join(["%.9g" if isinstance(v, float) else "%s" for v in row])
+                   % tuple(["" if v is None else v for v in row]) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +397,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-# argparse keeps no state between parses, so one parser serves every call of a process
-_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
-    parser = _parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) is None:
         parser.print_usage(sys.stderr)

@@ -21,7 +21,6 @@ from partgraph.synth import SceneSpec, generate
 
 from oracles import (
     dilate_intersect_oracle,
-    dilate_oracle,
     exact_distance_oracle,
     fd_check,
     frobenius_oracle,
@@ -113,22 +112,6 @@ def sparse_label_map(rng, h, w, present, num_parts):
                     num_classes=num_parts)
 
 
-def assert_matches_dilate_intersect_oracle(m, num_parts, shape, t):
-    """Every weighting and background choice against the pixel-pair counts."""
-    counts = dilate_intersect_oracle(m.labels, num_parts, shape, (t + 1) // 2)
-    for weighting in ("weighted", "unweighted"):
-        for background in (True, False):
-            want = counts.copy()
-            if not background:
-                want[0] = want[:, 0] = 0.0
-            if weighting == "unweighted":
-                want = np.minimum(want, 1.0)
-            cfg = AdjacencyConfig(distance_threshold=t, element_shape=shape,
-                                  weighting=weighting, include_background=background)
-            got = adjacency_from_labels(m, num_parts, cfg).entries
-            assert np.array_equal(got, want), (num_parts, t, weighting, background)
-
-
 @pytest.mark.parametrize("shape", ["square", "diamond"])
 def test_dilate_intersect_matches_pixel_pair_oracle(shape):
     # (map, num_parts, T): small maps; 63 to 130 present parts, on both sides
@@ -141,74 +124,34 @@ def test_dilate_intersect_matches_pixel_pair_oracle(shape):
               for present in (63, 64, 65, 130)]
     cases += [(random_label_map(rng, 20, 20, 250), 250, 3), (random_label_map(rng, 6, 5, 7), 7, 20),
               (random_label_map(rng, 96, 96, 300), 300, 4)]
+    # equal window sets next in raster order merge into one run before the
+    # sort: a uniform map and two parts under one window are one run each; a
+    # 1 x 40 and a 40 x 1 map of 3-pixel blocks; a 4-colour checkerboard, one
+    # run under the square and one-pixel runs under the diamond; 2-row stripes
+    # of 63 to 130 parts, whose two-part runs cross row ends
+    blocks = (np.arange(40) // 3 % 6).astype(np.int32)
+    checker = (np.arange(9) % 2)[None, :] + 2 * (np.arange(8) % 2)[:, None]
+    cases += [(LabelMap(np.full((7, 9), 3, dtype=np.int32), num_classes=5), 5, 4),
+              (LabelMap(np.repeat(np.arange(2), 15).reshape(6, 5), num_classes=2), 2, 20),
+              (LabelMap(blocks.reshape(1, 40), num_classes=6), 6, 2),
+              (LabelMap(blocks.reshape(40, 1), num_classes=6), 6, 2),
+              (LabelMap(checker, num_classes=4), 4, 2)]
+    cases += [(LabelMap(np.repeat(np.sort(rng.choice(present + 9, present, replace=False)), 6)
+                        .reshape(-1, 3), num_classes=present + 9), present + 9, 2)
+              for present in (63, 64, 65, 130)]
     for m, num_parts, t in cases:
-        assert_matches_dilate_intersect_oracle(m, num_parts, shape, t)
-
-
-def window_set_runs(labels, num_parts, shape, t):
-    """(first pixel, length, set size) of each raster run of equal window sets,
-    from the oracle's dilation of every part mask."""
-    sets = np.stack([dilate_oracle(labels == p, shape, (t + 1) // 2)
-                     for p in range(num_parts)], axis=-1).reshape(labels.size, num_parts)
-    heads = np.flatnonzero(np.r_[True, (sets[1:] != sets[:-1]).any(axis=1)])
-    return heads, np.diff(np.r_[heads, labels.size]), sets[heads].sum(axis=1)
-
-
-def stripes(present, num_parts, rows, width, seed):
-    """Horizontal stripes ``rows`` pixels high, of ``present`` of ``num_parts``
-    part ids in increasing order."""
-    ids = np.sort(np.random.default_rng(seed).choice(num_parts, present, replace=False))
-    return LabelMap(np.repeat(ids, rows * width).reshape(-1, width), num_classes=num_parts)
-
-
-def raster_blocks(h, w, present, length):
-    """An h x w map whose raster order cycles through ``present`` parts, ``length`` pixels each."""
-    labels = (np.arange(h * w) // length % present).reshape(h, w)
-    return LabelMap(labels.astype(np.int32), num_classes=present)
-
-
-# what a map's raster runs must hold, given their heads, lengths and set sizes
-def one_run(heads, lengths, sizes, width):
-    return heads.size == 1
-
-
-def one_pixel_runs(heads, lengths, sizes, width):
-    return np.all(lengths == 1)
-
-
-def a_run_is_longer_than_a_pixel(heads, lengths, sizes, width):
-    return np.any(lengths > 1)
-
-
-def a_pair_run_crosses_a_row_end(heads, lengths, sizes, width):
-    return np.any((heads // width != (heads + lengths - 1) // width) & (sizes >= 2))
-
-
-# name: (map, num_parts, element shape, T, what the map's raster runs hold)
-RUN_EDGE_CASES = {
-    "uniform": (LabelMap(np.full((7, 9), 3, dtype=np.int32), num_classes=5), 5, "square", 4,
-                one_run),
-    "two-parts-one-window": (raster_blocks(6, 5, 2, 15), 2, "square", 20, one_run),
-    "one-row": (raster_blocks(1, 40, 6, 3), 6, "square", 2, a_run_is_longer_than_a_pixel),
-    "one-column": (raster_blocks(40, 1, 6, 3), 6, "diamond", 2, a_run_is_longer_than_a_pixel),
-    "run-across-row-end": (raster_blocks(6, 7, 4, 5), 4, "square", 2,
-                           a_pair_run_crosses_a_row_end),
-    "checkerboard": (LabelMap(((np.arange(9) % 2)[None, :] + 2 * (np.arange(8) % 2)[:, None])
-                              .astype(np.int32), num_classes=4), 4, "diamond", 2,
-                     one_pixel_runs),
-    **{f"{present}-parts": (stripes(present, present + 9, 2, 3, present), present + 9, "square",
-                            2, a_pair_run_crosses_a_row_end)
-       for present in (63, 64, 65, 130)},
-}
-
-
-@pytest.mark.parametrize("name", list(RUN_EDGE_CASES))
-def test_adjacency_from_labels_raster_run_edge_cases(name):
-    # the window sets merge into raster runs before they are sorted: each map
-    # is first checked to hold the runs its name says, then counted
-    m, num_parts, shape, t, runs_hold = RUN_EDGE_CASES[name]
-    assert runs_hold(*window_set_runs(m.labels, num_parts, shape, t), m.labels.shape[1])
-    assert_matches_dilate_intersect_oracle(m, num_parts, shape, t)
+        counts = dilate_intersect_oracle(m.labels, num_parts, shape, (t + 1) // 2)
+        for weighting in ("weighted", "unweighted"):
+            for background in (True, False):
+                want = counts.copy()
+                if not background:
+                    want[0] = want[:, 0] = 0.0
+                if weighting == "unweighted":
+                    want = np.minimum(want, 1.0)
+                cfg = AdjacencyConfig(distance_threshold=t, element_shape=shape,
+                                      weighting=weighting, include_background=background)
+                got = adjacency_from_labels(m, num_parts, cfg).entries
+                assert np.array_equal(got, want), (num_parts, t, weighting, background)
 
 
 def test_adjacency_from_labels_peak_memory_is_bounded():

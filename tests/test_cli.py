@@ -567,41 +567,3 @@ def test_byte_identical_outputs_across_thread_counts(tmp_path, scene_files):
         runs = [run_cli(*argv, "--threads", t) for t in ("1", "8")]
         assert runs[0].returncode == runs[1].returncode == 0
         assert runs[0].stdout == runs[1].stdout
-
-
-def test_main_reuses_one_parser_with_fresh_process_output(tmp_path, scene_files, capsys,
-                                                          monkeypatch):
-    # graph, metrics, a usage error and graph again in one process print the
-    # bytes that fresh processes print; the usage error still exits 1 with its
-    # one-line diagnostic, and no subcommand's defaults reach the next one
-    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap alike in both
-    base, parts, _ = scene_files
-    for name in ("pred", "gt"):
-        (tmp_path / name).mkdir()
-        save_map(parts, tmp_path / name / "a.segmap")
-    segmap = str(base / "parts.segmap")
-    metrics = ["metrics", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(tmp_path / "gt"),
-               "--labelset", str(base / "labelset.json"), "--csv", "--out"]
-    graph = ["graph", "--in", segmap, "--parts", "3", "--T", "2", "--unweighted", "--normalized"]
-    usage = ["graph", "--in", segmap, "--parts", "3", "--bogus"]
-    graph_again = ["graph", "--in", segmap, "--parts", "3", "--format", "json"]
-
-    capsys.readouterr()
-    assert cli.main(graph) == 0
-    assert capsys.readouterr().out.encode() == run_cli(*graph).stdout
-    assert cli.main(metrics + [str(tmp_path / "one.csv")]) == 0
-    assert run_cli(*metrics, str(tmp_path / "fresh.csv")).returncode == 0
-    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
-    with pytest.raises(SystemExit) as exc:
-        cli.main(usage)
-    assert exc.value.code == 1
-    err = capsys.readouterr().err
-    fresh = run_cli(*usage)
-    assert fresh.returncode == 1 and err.encode() == fresh.stderr
-    assert err.splitlines()[-1] == "partgraph: error: unrecognized arguments: --bogus"
-    assert cli.main(graph_again) == 0
-    assert capsys.readouterr().out.encode() == run_cli(*graph_again).stdout
-
-    assert cli._parser.cache_info().misses == 1
-    for argv in (graph, metrics + ["x.csv"], graph_again):
-        assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
