@@ -47,10 +47,9 @@ WEIGHTINGS = ("weighted", "unweighted")
 RAW_COUNTS = "raw_counts"
 NORMALIZED = "normalized"
 NORM_TOL = 1e-9
-# Channels per soft-dilation call: one call amortizes the per-call overhead
-# over a block, and blocks keep the kernel's temporaries small (at 256x256,
-# blocks of 4 and 16 ran slower than 8, and 16 raised the peak memory).
-_SOFT_BLOCK = 8
+# Pixel columns of D per product in the graph-matching backward: the product
+# is written back into D's own buffer one chunk at a time
+_GRAD_COLUMNS = 1024
 
 
 @dataclass(frozen=True)
@@ -246,13 +245,11 @@ def _gm_forward(block: np.ndarray, cfg: AdjacencyConfig, references=None):
         if reference.size != c:
             raise DomainError(f"reference matrix is {reference.size} x {reference.size} but "
                               f"the prediction has {c} channels")
-    dilated = np.zeros((n, c, h * w), dtype=np.float64)  # one C x HW matrix D per scene
-    blocks = []
-    for lo in range(0 if cfg.include_background else 1, c, _SOFT_BLOCK):
-        hi = min(lo + _SOFT_BLOCK, c)
-        fields, state = soft_dilate_forward(block[lo:hi], cfg.element, cfg.soft_mode, cfg.beta)
-        dilated[:, lo:hi] = fields.reshape(hi - lo, n, h * w).swapaxes(0, 1)
-        blocks.append((lo, hi, state))
+    first = 0 if cfg.include_background else 1
+    fields, state = soft_dilate_forward(block[first:], cfg.element, cfg.soft_mode, cfg.beta)
+    if first:  # a zero background row keeps the products' shapes, and so their rounding
+        fields = np.concatenate([np.zeros((1, n, h, w)), fields])
+    dilated = fields.reshape(c, n, h * w).swapaxes(0, 1)  # a C x HW matrix D per scene
     counts = dilated @ dilated.swapaxes(1, 2)
     counts[:, range(c), range(c)] = 0.0
     raw = _apply_weighting(counts, cfg.weighting)
@@ -263,7 +260,7 @@ def _gm_forward(block: np.ndarray, cfg: AdjacencyConfig, references=None):
     # per scene the dot product np.linalg.norm takes of one flattened matrix
     flat = diff.reshape(n, 1, c * c)
     losses = np.sqrt(flat @ flat.swapaxes(1, 2)).ravel()
-    return raw, losses, {"dilated": dilated, "blocks": blocks, "counts": counts,
+    return raw, losses, {"fields": fields, "first": first, "state": state, "counts": counts,
                          "weighting": cfg.weighting, "normalized": normalized,
                          "norms": norms, "diff": diff, "losses": losses}
 
@@ -274,8 +271,8 @@ def _gm_backward(cache: dict, grad: np.ndarray, scale: float) -> None:
     Differentiates loss -> row normalization -> soft adjacency -> soft
     dilation. With ``smooth_max`` the chain is smooth; with ``hard_max`` the
     window-argmax subgradient is used. A scene at a loss of exactly 0 gets
-    the zero gradient. The dilated channels are taken out of the cache, so
-    they are released before the dilation backward runs.
+    the zero gradient. D is overwritten by grad_D, and the dilation cache by
+    the dilation gradient, so a cache serves one backward.
     """
     losses = cache["losses"][:, None, None]
     grad_norm = cache["diff"] / np.where(losses > 0.0, losses, np.inf)
@@ -288,8 +285,12 @@ def _gm_backward(cache: dict, grad: np.ndarray, scale: float) -> None:
     if cache["weighting"] == "unweighted":
         grad_raw *= cache["counts"] < 1.0
 
-    # counts = D D^T, so grad_D = (G + G^T) D
-    grad_dilated = ((grad_raw + grad_raw.swapaxes(1, 2)) @ cache.pop("dilated")).swapaxes(0, 1)
-    for lo, hi, state in cache.pop("blocks"):
-        part = soft_dilate_backward(grad_dilated[lo:hi].reshape(grad[lo:hi].shape), state)
-        grad[lo:hi] += np.multiply(part, scale, out=part)
+    # counts = D D^T, so grad_D = (G + G^T) D, written over D a column chunk at a time
+    first, fields = cache["first"], cache.pop("fields")
+    sym = grad_raw + grad_raw.swapaxes(1, 2)
+    dilated = fields.reshape(fields.shape[:2] + (-1,)).swapaxes(0, 1)
+    for lo in range(0, dilated.shape[2], _GRAD_COLUMNS):
+        columns = dilated[..., lo:lo + _GRAD_COLUMNS]
+        columns[...] = sym @ columns
+    part = soft_dilate_backward(fields[first:], cache.pop("state"))
+    grad[first:] += np.multiply(part, scale, out=part)

@@ -165,8 +165,7 @@ def _cmd_graph(args) -> int:
     if args.normalized:
         matrix = normalize_rows(matrix)
     if args.format == "json":
-        doc = {"size": matrix.size, "kind": matrix.kind,
-               "entries": [[float(v) for v in row] for row in matrix.entries]}
+        doc = {"size": matrix.size, "kind": matrix.kind, "entries": matrix.entries.tolist()}
         _write_result(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         # Python floats: numpy scalars take twice as long to format

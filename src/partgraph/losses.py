@@ -24,6 +24,7 @@ size. Probabilities are clamped below at LOG_EPS before the log.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -146,7 +147,8 @@ def _reconstruction_raw(probs: np.ndarray, object_labels: np.ndarray,
     grad_summed = np.zeros_like(summed)
     loss = _cross_entropy_raw(summed, object_labels, grad_summed)
     grad_summed *= scale
-    grad += grad_summed[mapping.object_lookup()]
+    for obj, (lo, hi) in enumerate(pairwise(mapping.boundaries)):
+        grad[lo:hi] += grad_summed[obj]
     return loss
 
 

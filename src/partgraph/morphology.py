@@ -28,6 +28,13 @@ of an unsigned-integer bitset as its own mask; ``np.add`` for smooth_max;
 and ``np.maximum`` of x - i * index for hard_max. numpy orders complex
 numbers by real part, then imaginary part, so the window maximum wins and a
 tie goes to the lowest index, the first pixel in row-major order.
+
+A soft dilation allocates its output and cache once, at the stack's size,
+and fills them a chunk of whole fields at a time, so that every window pass
+finds its chunk in cache. smooth_max works in place: its cache's ``weight``
+holds exp(beta * (x - 1)) and ``inv_open`` the window sums, then their
+reciprocals (0 where the output clamps at 1), then the input gradient, so a
+cache serves one backward. hard_max caches each output's winning input index.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ ELEMENT_SHAPES = ("square", "diamond")
 SOFT_MODES = ("hard_max", "smooth_max")
 # smooth_max shifts by 1 instead of the window peak; exp(-beta) must stay normal
 MAX_BETA = 700.0
+# Bytes per chunk of a soft dilation, one 256 x 256 field: it stays in L2 cache
+_CHUNK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -80,8 +89,8 @@ def _combine_shifted(acc, src, d: int, axis: int, op) -> None:
         op(acc[lo], src[hi], out=acc[lo])
 
 
-def _window_reduce(x: np.ndarray, elem: StructuringElement, op, start) -> np.ndarray:
-    """Reduce each pixel's border-clipped window over the last two axes of ``x``.
+def _window_reduce(x: np.ndarray, elem: StructuringElement, op, start, out) -> np.ndarray:
+    """Reduce each pixel's border-clipped window over the last two axes of ``x`` into ``out``.
 
     ``op`` is a ufunc, associative and commutative, with ``start`` as its
     identity. A row pass grows running row segments, and a column pass
@@ -94,7 +103,7 @@ def _window_reduce(x: np.ndarray, elem: StructuringElement, op, start) -> np.nda
     r = elem.radius
     rows = x.copy()  # x reduced over row segments of half-width `grown`
     grown = 0
-    out = np.full_like(x, start)
+    out.fill(start)
     for dy in range(min(r, h - 1), -1, -1):
         half = min(r if elem.shape == "square" else r - dy, w - 1)
         for dx in range(grown + 1, half + 1):
@@ -110,8 +119,8 @@ def dilate_array(bits: np.ndarray, elem: StructuringElement) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim < 2:
         raise DomainError(f"expected (..., H, W) masks, got shape {bits.shape}")
-    return _window_reduce(bits if bits.dtype.kind == "u" else bits.astype(bool), elem,
-                          np.bitwise_or, 0)
+    bits = bits if bits.dtype.kind == "u" else bits.astype(bool)
+    return _window_reduce(bits, elem, np.bitwise_or, 0, np.empty_like(bits))
 
 
 def soft_dilate(channel: np.ndarray, elem: StructuringElement,
@@ -124,14 +133,19 @@ def soft_dilate(channel: np.ndarray, elem: StructuringElement,
     return out
 
 
+def _chunks(fields: np.ndarray):
+    """Slices of an (F, H, W) stack of about _CHUNK_BYTES of float64 each, one field at least."""
+    step = max(1, _CHUNK_BYTES // (8 * fields[0].size))
+    return [slice(lo, lo + step) for lo in range(0, len(fields), step)]
+
+
 def soft_dilate_forward(stack: np.ndarray, elem: StructuringElement,
                         mode: str = "hard_max", beta: float = 20.0):
     """Dilate every (H, W) field of a (..., H, W) stack.
 
     Returns (output, cache) where cache feeds :func:`soft_dilate_backward`.
     """
-    # contiguous, so that every array derived from x is laid out row-major too
-    x = np.ascontiguousarray(stack, dtype=np.float64)
+    x = np.asarray(stack, dtype=np.float64)
     if x.ndim < 2 or x.size == 0:
         raise DomainError(f"expected nonempty (..., H, W) fields, got shape {x.shape}")
     # written so that NaN fails it: np.maximum would carry NaN through hard_max
@@ -139,21 +153,36 @@ def soft_dilate_forward(stack: np.ndarray, elem: StructuringElement,
         raise DomainError("soft dilation expects values in [0, 1]")
     if mode not in SOFT_MODES:
         raise DomainError(f"mode must be one of {SOFT_MODES}, got {mode!r}")
+    fields = x.reshape((-1,) + x.shape[-2:])
+    out = np.empty(fields.shape)
 
     if mode == "hard_max":
         # key x - i * index: its window maximum holds the value and the winner
-        key = np.arange(0, -x.size, -1).reshape(x.shape) * 1j
-        key += x
-        best = _window_reduce(key, elem, np.maximum, complex(-np.inf, -np.inf))
-        return best.real, ("hard_max", (-best.imag).astype(np.intp))
+        winner = np.empty(fields.shape, dtype=np.intp)
+        for part in _chunks(fields):
+            first = part.start * fields[0].size
+            key = np.arange(-first, -first - out[part].size, -1).reshape(out[part].shape) * 1j
+            key += fields[part]
+            best = _window_reduce(key, elem, np.maximum, complex(-np.inf, -np.inf),
+                                  np.empty_like(key))
+            out[part], winner[part] = best.real, -best.imag
+        return out.reshape(x.shape), ("hard_max", winner.reshape(x.shape))
 
     check_beta(beta)
-    weight = np.exp(beta * (x - 1.0))
-    expsum = _window_reduce(weight, elem, np.add, 0.0)
-    raw = 1.0 + np.log(expsum) / beta
-    # clamped pixels pass no gradient
-    inv_open = np.divide(1.0, expsum, out=np.zeros_like(expsum), where=raw <= 1.0)
-    return np.minimum(raw, 1.0), ("smooth_max", weight, inv_open, elem)
+    weight, inv_open = np.empty(fields.shape), np.empty(fields.shape)
+    for part in _chunks(fields):
+        chunk = np.subtract(fields[part], 1.0, out=weight[part])
+        chunk *= beta
+        np.exp(chunk, out=chunk)
+        expsum = _window_reduce(chunk, elem, np.add, 0.0, inv_open[part])
+        raw = np.log(expsum, out=out[part])
+        raw /= beta
+        raw += 1.0
+        # clamped pixels pass no gradient
+        np.divide(1.0, expsum, out=expsum)
+        expsum *= raw <= 1.0
+        np.minimum(raw, 1.0, out=raw)
+    return out.reshape(x.shape), ("smooth_max", weight, inv_open, elem)
 
 
 def soft_dilate_backward(grad_out: np.ndarray, cache) -> np.ndarray:
@@ -161,7 +190,8 @@ def soft_dilate_backward(grad_out: np.ndarray, cache) -> np.ndarray:
 
     hard_max routes each output pixel's gradient to its window argmax;
     smooth_max distributes it with softmax weights. Output pixels clamped at
-    1 pass no gradient.
+    1 pass no gradient. A smooth_max cache serves one backward: the gradient
+    is written into its ``inv_open`` buffer.
     """
     if cache[0] == "hard_max":
         winner = cache[1]
@@ -169,5 +199,8 @@ def soft_dilate_backward(grad_out: np.ndarray, cache) -> np.ndarray:
                            minlength=winner.size).reshape(winner.shape)
     # d out[y] / d x[p] = weight[p] / expsum[y] on p's window; windows are symmetric
     _, weight, inv_open, elem = cache
-    grad_in = _window_reduce(grad_out * inv_open, elem, np.add, 0.0)
-    return np.multiply(grad_in, weight, out=grad_in)
+    grad = np.reshape(grad_out, weight.shape)
+    for part in _chunks(weight):
+        _window_reduce(grad[part] * inv_open[part], elem, np.add, 0.0, inv_open[part])
+        inv_open[part] *= weight[part]
+    return inv_open.reshape(np.shape(grad_out))

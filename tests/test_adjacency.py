@@ -8,12 +8,15 @@ from partgraph import (
     AdjacencyMatrix,
     DomainError,
     LabelMap,
+    LossWeights,
+    PartsToObjectsMapping,
     ProbMap,
     adjacency_from_labels,
     argmax_map,
     normalize_rows,
     one_hot,
     soft_adjacency,
+    total_loss,
 )
 from partgraph.adjacency import gm_value, gm_value_and_grad
 from partgraph.morphology import StructuringElement, dilate_array
@@ -357,19 +360,21 @@ def test_frobenius_slope_against_prediction_matrix():
 
 
 def test_gm_grad_matches_finite_differences():
+    # 40 x 30 pixels span two column chunks of the backward's in-place (G + G^T) D
     rng = np.random.default_rng(15)
     cfg = AdjacencyConfig(distance_threshold=4, soft_mode="smooth_max", beta=20.0)
-    m = random_label_map(rng, 6, 6, 3)
-    reference = normalize_rows(adjacency_from_labels(m, 3, cfg))
-    probs = random_probs(rng, 6, 6, 3)
-    loss, grad = gm_value_and_grad(probs, reference, cfg)
-    assert loss > 0
+    for h, w in ((6, 6), (40, 30)):
+        m = random_label_map(rng, h, w, 3)
+        reference = normalize_rows(adjacency_from_labels(m, 3, cfg))
+        probs = random_probs(rng, h, w, 3)
+        loss, grad = gm_value_and_grad(probs, reference, cfg)
+        assert loss > 0
 
-    def objective(x):
-        return gm_value(x, reference, cfg)
+        def objective(x):
+            return gm_value(x, reference, cfg)
 
-    coords = sample_coords(rng, probs.shape, 25)
-    assert fd_check(objective, probs, grad, coords) < 1e-4
+        coords = sample_coords(rng, probs.shape, 25)
+        assert fd_check(objective, probs, grad, coords) < 1e-4, (h, w)
 
 
 def test_gm_grad_unweighted_below_saturation():
@@ -478,3 +483,21 @@ def test_gm_value_and_grad_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * probs.nbytes
+
+
+def test_total_loss_peak_memory_is_bounded():
+    # at its peak total_loss holds four probability-sized arrays: the gradient,
+    # D (which becomes grad_D) and the smooth-max weights and reciprocals (which
+    # become the dilation gradient); everything else is chunk- or object-sized
+    rng = np.random.default_rng(22)
+    labels = random_label_map(rng, 128, 128, 60)
+    mapping = PartsToObjectsMapping(tuple(range(0, 61, 4)))
+    probs = random_probs(rng, 128, 128, 60)
+    pred = ProbMap(probs)
+    tracemalloc.start()
+    try:
+        total_loss(pred, labels, None, mapping, AdjacencyConfig(), LossWeights())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.6 * probs.nbytes

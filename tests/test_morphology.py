@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from partgraph import DomainError, StructuringElement, soft_dilate
-from partgraph.morphology import dilate_array, soft_dilate_backward, soft_dilate_forward
+from partgraph.morphology import _chunks, dilate_array, soft_dilate_backward, soft_dilate_forward
 
 from oracles import (
     dilate_oracle,
@@ -247,3 +247,14 @@ def test_stacked_kernel_matches_offset_loop_oracle(mode, shape, radius):
         else:
             np.testing.assert_allclose(out[ch], want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(grad[ch], want_grad, rtol=1e-12, atol=0)
+    # a stack of three chunks of two fields, whose second chunk straddles the
+    # leading axis: every field comes out as if dilated alone
+    stack = rng.random((2, 3, 128, 256))
+    assert len(_chunks(stack.reshape(-1, 128, 256))) == 3
+    probe = rng.standard_normal(stack.shape)
+    out, cache = soft_dilate_forward(stack, elem, mode, 20.0)
+    grad = soft_dilate_backward(probe, cache)
+    for field in np.ndindex(stack.shape[:2]):
+        want, want_cache = soft_dilate_forward(stack[field], elem, mode, 20.0)
+        assert np.array_equal(out[field], want)
+        assert np.array_equal(grad[field], soft_dilate_backward(probe[field], want_cache))
