@@ -47,8 +47,8 @@ WEIGHTINGS = ("weighted", "unweighted")
 RAW_COUNTS = "raw_counts"
 NORMALIZED = "normalized"
 NORM_TOL = 1e-9
-# Pixel columns of D per product in the graph-matching backward: the product
-# is written back into D's own buffer one chunk at a time
+# Pixel columns per product in the graph-matching backward, which writes
+# (G + G^T) D over D a chunk at a time: the product's temporary is C x 8 KiB
 _GRAD_COLUMNS = 1024
 
 
