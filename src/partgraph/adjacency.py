@@ -21,8 +21,10 @@ On a one-hot prediction with hard-max dilation it equals the discrete
 counts, so a perfect prediction scores exactly 0.
 
 All of it is one private forward/backward pair over a (C, N, H, W) block of N
-scenes, the layout the network emits, whose backward adds into the caller's
-gradient buffer. The public (H, W, C) entries wrap it on a block of one scene.
+scenes, the layout the network emits, whose backward returns its gradient in
+the buffer the dilation cache owns. Every channel dilates; without background,
+channel 0 dilates as zeros and its row of D is zeroed, so its gradient is
+exactly 0. The public (H, W, C) entries wrap the pair on a block of one scene.
 """
 
 from __future__ import annotations
@@ -221,9 +223,7 @@ def soft_adjacency(pred: ProbMap, cfg: AdjacencyConfig):
 def gm_value_and_grad(probs: np.ndarray, reference: AdjacencyMatrix, cfg: AdjacencyConfig):
     """(loss, gradient) of the graph-matching loss for an (H, W, C) probability array."""
     _, losses, cache = _gm_forward(np.moveaxis(probs, 2, 0)[:, None], cfg, [reference])
-    grad = np.zeros((probs.shape[2], 1) + probs.shape[:2])
-    _gm_backward(cache, grad, 1.0)
-    return float(losses[0]), np.moveaxis(grad[:, 0], 0, 2)
+    return float(losses[0]), np.moveaxis(_gm_backward(cache, 1.0)[:, 0], 0, 2)
 
 
 def gm_value(probs: np.ndarray, reference: AdjacencyMatrix, cfg: AdjacencyConfig) -> float:
@@ -245,10 +245,13 @@ def _gm_forward(block: np.ndarray, cfg: AdjacencyConfig, references=None):
         if reference.size != c:
             raise DomainError(f"reference matrix is {reference.size} x {reference.size} but "
                               f"the prediction has {c} channels")
+    # every channel dilates, so the gradient fills a buffer of the block's size; without
+    # background, channel 0 dilates as zeros, and D's zero row keeps the products' rounding
     first = 0 if cfg.include_background else 1
-    fields, state = soft_dilate_forward(block[first:], cfg.element, cfg.soft_mode, cfg.beta)
-    if first:  # a zero background row keeps the products' shapes, and so their rounding
-        fields = np.concatenate([np.zeros((1, n, h, w)), fields])
+    if first:  # empty if C = 1, which the dilation rejects
+        block = np.concatenate([np.zeros_like(block[1:2]), block[1:]])
+    fields, state = soft_dilate_forward(block, cfg.element, cfg.soft_mode, cfg.beta)
+    fields[:first] = 0.0
     dilated = fields.reshape(c, n, h * w).swapaxes(0, 1)  # a C x HW matrix D per scene
     counts = dilated @ dilated.swapaxes(1, 2)
     counts[:, range(c), range(c)] = 0.0
@@ -265,14 +268,16 @@ def _gm_forward(block: np.ndarray, cfg: AdjacencyConfig, references=None):
                          "norms": norms, "diff": diff, "losses": losses}
 
 
-def _gm_backward(cache: dict, grad: np.ndarray, scale: float) -> None:
-    """Add ``scale`` times each scene's loss gradient into its slice of ``grad``.
+def _gm_backward(cache: dict, scale: float) -> np.ndarray:
+    """``scale`` times each scene's loss gradient, as a (C, N, H, W) block.
 
     Differentiates loss -> row normalization -> soft adjacency -> soft
     dilation. With ``smooth_max`` the chain is smooth; with ``hard_max`` the
     window-argmax subgradient is used. A scene at a loss of exactly 0 gets
-    the zero gradient. D is overwritten by grad_D, and the dilation cache by
-    the dilation gradient, so a cache serves one backward.
+    the zero gradient, and without background channel 0 gets exactly 0. D is
+    overwritten by grad_D, and the result is the dilation backward's own
+    buffer (smooth-max's cached ``inv_open``, hard-max's ``bincount`` output),
+    scaled in place, so a cache serves one backward.
     """
     losses = cache["losses"][:, None, None]
     grad_norm = cache["diff"] / np.where(losses > 0.0, losses, np.inf)
@@ -292,5 +297,6 @@ def _gm_backward(cache: dict, grad: np.ndarray, scale: float) -> None:
     for lo in range(0, dilated.shape[2], _GRAD_COLUMNS):
         columns = dilated[..., lo:lo + _GRAD_COLUMNS]
         columns[...] = sym @ columns
-    part = soft_dilate_backward(fields[first:], cache.pop("state"))
-    grad[first:] += np.multiply(part, scale, out=part)
+    fields[:first] = 0.0  # a background column of G would reach channel 0
+    grad = soft_dilate_backward(fields, cache.pop("state"))
+    return np.multiply(grad, scale, out=grad)

@@ -505,9 +505,8 @@ def _train_step(blocks, mapping: PartsToObjectsMapping, net: ToyNetConfig,
         probs, cache = _forward(images, objs, net, params)
         if not np.isfinite(probs).all():
             raise NumericError(f"non-finite activations at step {t}")
-        grad_probs = np.zeros_like(probs)
-        for k, value in enumerate(_block_loss(probs, targets, mapping, adj_cfg, weights,
-                                              grad_probs)):
+        values, grad_probs = _block_loss(probs, targets, mapping, adj_cfg, weights)
+        for k, value in enumerate(values):
             sums[k] += value
         del probs
         for name, g in toy_backward(cache, grad_probs).items():

@@ -13,9 +13,11 @@ plus its gradient with respect to every probability entry.
 - ``total_loss``: cross-entropy plus lambda1 * reconstruction plus
   lambda2 * graph-matching, with the combined gradient.
 
-The public entries check an (H, W, C) ``ProbMap``; every kernel below them,
-graph matching's included, takes a (C, N, H, W) block of N scenes, the layout
-the network emits, and adds its weighted gradient into one buffer the caller owns.
+The public entries check an (H, W, C) ``ProbMap``; every kernel below them
+takes a (C, N, H, W) block of N scenes, the layout the network emits. Graph
+matching runs first and returns its weighted gradient in the dilation
+backward's own buffer; cross-entropy and reconstruction add theirs into it, so
+the whole objective holds three probability-sized arrays at its peak.
 
 Pixel aggregation is the mean, so loss magnitudes are independent of image
 size. Probabilities are clamped below at LOG_EPS before the log.
@@ -147,6 +149,7 @@ def _reconstruction_raw(probs: np.ndarray, object_labels: np.ndarray,
     grad_summed = np.zeros_like(summed)
     loss = _cross_entropy_raw(summed, object_labels, grad_summed)
     grad_summed *= scale
+    grad_summed += 0.0  # drops a zero scale's -0.0: added to g, it gives what 0 + it + g does
     for obj, (lo, hi) in enumerate(pairwise(mapping.boundaries)):
         grad[lo:hi] += grad_summed[obj]
     return loss
@@ -159,19 +162,25 @@ def reference_graph(gt_parts: LabelMap, num_parts: int,
 
 
 def _block_loss(probs: np.ndarray, targets, mapping: PartsToObjectsMapping,
-                cfg: AdjacencyConfig, weights: LossWeights, grad: np.ndarray):
-    """Summed (ce, rec, gm) of a (C, N, H, W) block and each scene's (parts, objects, reference).
+                cfg: AdjacencyConfig, weights: LossWeights):
+    """Summed (ce, rec, gm) of a (C, N, H, W) block and each scene's (parts, objects,
+    reference), and the weighted gradient, in the graph-matching backward's buffer.
 
-    The weighted gradient is added into ``grad`` term by term, in the order of
-    ce + lambda1 * rec + lambda2 * gm.
+    Each entry is (ce + lambda1 * rec) + lambda2 * gm bit for bit: off the true
+    class the sum commutes; on it, gm is taken out first and added back last.
     """
-    ce = _cross_entropy_raw(probs, np.stack([p.labels for p, _, _ in targets]), grad)
+    labels = np.stack([p.labels for p, _, _ in targets])
+    _, losses, cache = _gm_forward(probs, cfg, [reference for _, _, reference in targets])
+    grad = _gm_backward(cache, weights.lambda2)
+    index = labels[None]
+    gm_true = np.take_along_axis(grad, index, axis=0)
+    np.put_along_axis(grad, index, 0.0, axis=0)
     rec = _reconstruction_raw(probs, np.stack([o.labels for _, o, _ in targets]), mapping,
                               grad, weights.lambda1)
-    _, losses, cache = _gm_forward(probs, cfg, [reference for _, _, reference in targets])
-    _gm_backward(cache, grad, weights.lambda2)
+    ce = _cross_entropy_raw(probs, labels, grad)
+    np.put_along_axis(grad, index, np.take_along_axis(grad, index, axis=0) + gm_true, axis=0)
     # a running sum adds the scenes in order, as scene-by-scene totals do (np.sum pairs them)
-    return ce, rec, float(np.cumsum(losses)[-1])
+    return (ce, rec, float(np.cumsum(losses)[-1])), grad
 
 
 def total_loss(pred: ProbMap, gt_parts: LabelMap, gt_objects: LabelMap | None,
@@ -193,8 +202,9 @@ def total_loss(pred: ProbMap, gt_parts: LabelMap, gt_objects: LabelMap | None,
         _check_objects(pred, gt_objects, mapping)
         term = "graph-matching"
         reference = reference_graph(gt_parts, mapping.num_parts, cfg)
-        (ce, rec, gm), grad = _one_scene(pred, _block_loss, [(gt_parts, gt_objects, reference)],
-                                         mapping, cfg, weights)
+        (ce, rec, gm), grad = _block_loss(np.moveaxis(pred.probs, 2, 0)[:, None],
+                                          [(gt_parts, gt_objects, reference)], mapping, cfg,
+                                          weights)
     except DomainError as exc:
         raise DomainError(f"{term} term: {exc}") from exc
-    return LossReport.combine(ce, rec, gm, weights), grad
+    return LossReport.combine(ce, rec, gm, weights), np.moveaxis(grad[:, 0], 0, 2)

@@ -482,13 +482,15 @@ def test_gm_value_and_grad_peak_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * probs.nbytes
+    # D and the smooth-max cache's two arrays, one of which is returned; measured 3.45x
+    assert peak <= 3.6 * probs.nbytes
 
 
 def test_total_loss_peak_memory_is_bounded():
-    # at its peak total_loss holds four probability-sized arrays: the gradient,
-    # D (which becomes grad_D) and the smooth-max weights and reciprocals (which
-    # become the dilation gradient); everything else is chunk- or object-sized
+    # at its peak total_loss holds three probability-sized arrays: D (which
+    # becomes grad_D) and the smooth-max weights and reciprocals (which become the
+    # dilation gradient, and then the returned one); everything else is chunk- or
+    # object-sized; measured 3.20x
     rng = np.random.default_rng(22)
     labels = random_label_map(rng, 128, 128, 60)
     mapping = PartsToObjectsMapping(tuple(range(0, 61, 4)))
@@ -500,4 +502,4 @@ def test_total_loss_peak_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.6 * probs.nbytes
+    assert peak <= 3.6 * probs.nbytes

@@ -10,6 +10,7 @@ import pytest
 
 from partgraph import (
     AdjacencyConfig,
+    AdjacencyMatrix,
     LabelMap,
     LabelSet,
     LossWeights,
@@ -18,6 +19,7 @@ from partgraph import (
     adjacency_from_labels,
     confusion,
     load_labelset,
+    normalize_rows,
     one_hot,
     project_labels,
     report,
@@ -158,6 +160,15 @@ def test_graph_json_and_normalized(scene_files):
     entries = np.array(doc["entries"])
     norms = np.linalg.norm(entries, axis=1)
     assert np.abs(norms[norms > 0] - 1.0).max() < 1e-9
+
+
+@pytest.mark.parametrize("size", [1, 7, 109])
+def test_graph_json_is_the_bytes_of_json_dumps_with_indent_2(size):
+    entries = np.resize([0.0, 5e-324, 1e-300, 3.0, 1 / 3], (size, size))  # cycles the values
+    np.fill_diagonal(entries, 0.0)
+    for matrix in (AdjacencyMatrix(entries), normalize_rows(AdjacencyMatrix(entries))):
+        doc = {"size": matrix.size, "kind": matrix.kind, "entries": matrix.entries.tolist()}
+        assert cli._graph_json(matrix) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_csv_cells_keep_their_9g_text():

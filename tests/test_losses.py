@@ -186,6 +186,41 @@ def test_total_loss_combines_components():
     assert np.array_equal(grad, combined)
 
 
+@pytest.mark.parametrize("cfg, weights, below_eps", [
+    (AdjacencyConfig(include_background=False), LossWeights(), False),
+    (AdjacencyConfig(soft_mode="hard_max"), LossWeights(), False),
+    (AdjacencyConfig(distance_threshold=7, element_shape="diamond"), LossWeights(), False),
+    (AdjacencyConfig(), LossWeights(lambda1=0.0), False),
+    (AdjacencyConfig(), LossWeights(lambda2=0.0), False),
+    (AdjacencyConfig(), LossWeights(0.0, 0.0), False),  # -0.0 terms: the signs must agree
+    (AdjacencyConfig(), LossWeights(), True),
+], ids=["no_background", "hard_max", "diamond_t7", "lambda1_0", "lambda2_0", "lambdas_0",
+        "below_log_eps"])
+def test_total_loss_adds_its_terms_in_order_under_every_config(cfg, weights, below_eps):
+    # the gradient is graph matching's buffer with ce and rec added in; each
+    # entry must still be (ce + lambda1 * rec) + lambda2 * gm, bit for bit
+    rng = np.random.default_rng(11)
+    probs = random_probs(rng, 9, 8, 5)
+    parts = LabelMap(rng.integers(0, 5, (9, 8)).astype(np.int32))
+    if below_eps:  # a true-class probability under LOG_EPS has a cross-entropy slope of 0
+        probs[4, 3] = 0.0
+        probs[4, 3, (parts.labels[4, 3] + 1) % 5] = 1.0
+    objects = project_labels(parts, MAPPING)
+    report, grad = total_loss(ProbMap(probs), parts, objects, MAPPING, cfg, weights)
+
+    from partgraph import adjacency_from_labels, normalize_rows
+    from partgraph.adjacency import gm_value_and_grad
+    _, g_ce = cross_entropy(ProbMap(probs), parts)
+    _, g_rec = reconstruction_loss(ProbMap(probs), objects, MAPPING)
+    reference = normalize_rows(adjacency_from_labels(parts, 5, cfg))
+    gm, g_gm = gm_value_and_grad(probs, reference, cfg)
+    assert report.gm == gm
+    combined = g_ce + weights.lambda1 * g_rec + weights.lambda2 * g_gm
+    assert np.array_equal(grad.view(np.int64), combined.view(np.int64))
+    if not cfg.include_background:
+        assert not g_gm[:, :, 0].any()
+
+
 def test_total_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(10)
     probs = random_probs(rng, 6, 6, 5)

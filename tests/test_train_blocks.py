@@ -186,8 +186,7 @@ def test_criterion_6_net_scene_is_bit_identical_alone_and_in_any_block(monkeypat
     scene_iter = iter(scenes)
     for images, objs, targets in blocks:
         probs, _ = _forward(images, objs, net, params)
-        grad = np.zeros_like(probs)
-        sums = _block_loss(probs, targets, mapping, CFG, WEIGHTS, grad)
+        sums, grad = _block_loss(probs, targets, mapping, CFG, WEIGHTS)
         alone_sums = np.zeros(3)
         for j in range(len(targets)):
             rgb, _, objects = next(scene_iter)
@@ -195,9 +194,9 @@ def test_criterion_6_net_scene_is_bit_identical_alone_and_in_any_block(monkeypat
                                            params)
             assert np.array_equal(probs[:, j], alone)
             # the loss of a block of 1: the same gradient, and sums up to their order
-            alone_grad = np.zeros_like(alone[:, None])
-            alone_sums += _block_loss(alone[:, None], targets[j:j + 1], mapping, CFG, WEIGHTS,
-                                      alone_grad)
+            alone_loss, alone_grad = _block_loss(alone[:, None], targets[j:j + 1], mapping, CFG,
+                                                 WEIGHTS)
+            alone_sums += alone_loss
             assert np.array_equal(grad[:, j], alone_grad[:, 0])
         np.testing.assert_allclose(sums, alone_sums, rtol=1e-15, atol=0.0)
 
@@ -237,9 +236,8 @@ def test_graph_matching_totals_add_the_scenes_in_order(monkeypatch):
     probs, _ = _forward(images, objs, NET, params)
     want = 0.0
     for j in range(len(scenes)):
-        want += _block_loss(probs[:, j:j + 1], targets[j:j + 1], mapping, CFG, WEIGHTS,
-                            np.zeros_like(probs[:, :1]))[2]
-    assert _block_loss(probs, targets, mapping, CFG, WEIGHTS, np.zeros_like(probs))[2] == want
+        want += _block_loss(probs[:, j:j + 1], targets[j:j + 1], mapping, CFG, WEIGHTS)[0][2]
+    assert _block_loss(probs, targets, mapping, CFG, WEIGHTS)[0][2] == want
 
 
 HARD = AdjacencyConfig(distance_threshold=4, soft_mode="hard_max")
@@ -261,16 +259,13 @@ def test_a_perfect_scene_beside_a_noisy_one_gets_no_gm_gradient():
     targets = [(parts, objects, reference_graph(parts, mapping.num_parts, HARD))
                for _, parts, objects in scenes]
     assert _gm_forward(probs, HARD, [ref for _, _, ref in targets])[1][0] == 0.0
-    grad = np.zeros_like(probs)
-    ce, rec, gm = _block_loss(probs, targets, mapping, HARD, WEIGHTS, grad)
+    (ce, rec, gm), grad = _block_loss(probs, targets, mapping, HARD, WEIGHTS)
     # the perfect scene's gradient is its cross-entropy and reconstruction terms alone
-    no_gm = np.zeros_like(probs)
-    _block_loss(probs, targets, mapping, HARD, LossWeights(WEIGHTS.lambda1, 0.0), no_gm)
+    _, no_gm = _block_loss(probs, targets, mapping, HARD, LossWeights(WEIGHTS.lambda1, 0.0))
     assert np.array_equal(grad[:, 0], no_gm[:, 0])
     # the noisy scene's loss and gradient are those of its block of one
-    alone = np.zeros_like(probs[:, 1:])
-    assert (ce, rec, gm) == _block_loss(probs[:, 1:], targets[1:], mapping, HARD, WEIGHTS,
-                                        alone)
+    alone_loss, alone = _block_loss(probs[:, 1:], targets[1:], mapping, HARD, WEIGHTS)
+    assert (ce, rec, gm) == alone_loss
     assert np.array_equal(grad[:, 1], alone[:, 0])
 
 
@@ -306,9 +301,18 @@ def _reconstruction_kernel(probs, scenes, mapping, cfg, grad):
 
 
 def _graph_matching_kernel(probs, scenes, mapping, cfg, grad):
+    # the backward returns its gradient in a buffer of the block's shape that the
+    # dilation owns (smooth-max's cached inv_open); added into the caller's buffer
+    # here, so that each scene's part is checked against its block of one
     references = [reference_graph(parts, mapping.num_parts, cfg) for _, parts, _ in scenes]
     _, _, cache = _gm_forward(probs, cfg, references)
-    assert _gm_backward(cache, grad, 0.3) is None
+    state = cache["state"]
+    result = _gm_backward(cache, 0.3)
+    assert result.shape == probs.shape
+    if state[0] == "smooth_max":
+        assert np.shares_memory(result, state[2])
+    assert cfg.include_background or not result[0].any()
+    grad += result
 
 
 @pytest.mark.parametrize("kernel, cfg", [
