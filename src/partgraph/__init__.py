@@ -18,8 +18,6 @@ from .adjacency import (
 from .condnet import (
     EmbeddingConfig,
     ToyNetConfig,
-    conv2d_backward,
-    conv2d_forward,
     init_toy_params,
     mean_gm_loss,
     toy_forward,
@@ -58,11 +56,11 @@ __all__ = [
     "EmbeddingConfig", "LabelMap", "LabelSet", "LossReport", "LossWeights",
     "MetricReport", "NumericError", "PartsToObjectsMapping", "ProbMap",
     "SceneSpec", "StructuringElement", "ToyNetConfig", "Xorshift64Star",
-    "adjacency_from_labels", "argmax_map", "confusion", "conv2d_backward",
-    "conv2d_forward", "cross_entropy", "generate", "generate_dataset",
-    "init_toy_params", "load_labelset", "load_map", "load_params",
-    "load_probmap", "mean_gm_loss", "normalize_rows", "one_hot",
-    "project_labels", "reconstruction_loss", "report", "save_labelset",
-    "save_map", "save_params", "save_ppm", "save_probmap", "soft_adjacency",
-    "soft_dilate", "sum_probability", "total_loss", "toy_forward", "train_toy",
+    "adjacency_from_labels", "argmax_map", "confusion", "cross_entropy",
+    "generate", "generate_dataset", "init_toy_params", "load_labelset",
+    "load_map", "load_params", "load_probmap", "mean_gm_loss",
+    "normalize_rows", "one_hot", "project_labels", "reconstruction_loss",
+    "report", "save_labelset", "save_map", "save_params", "save_ppm",
+    "save_probmap", "soft_adjacency", "soft_dilate", "sum_probability",
+    "total_loss", "toy_forward", "train_toy",
 ]

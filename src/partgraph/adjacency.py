@@ -22,8 +22,8 @@ counts, so a perfect prediction scores exactly 0.
 
 All of it is one private forward/backward pair over a (C, N, H, W) block of N
 scenes, the layout the network emits, whose backward returns its gradient in
-the buffer the dilation cache owns. Every channel dilates; without background,
-channel 0 dilates as zeros and its row of D is zeroed, so its gradient is
+the buffer the dilation cache owns. Every channel dilates as given; without
+background, channel 0's rows of D and grad_D are zeroed, so its gradient is
 exactly 0. The public (H, W, C) entries wrap the pair on a block of one scene.
 """
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelMap, ProbMap, _check_labels_below
+from .core import LabelMap, ProbMap, _check_fits
 from .errors import DomainError
 from .morphology import (
     StructuringElement,
@@ -148,12 +148,8 @@ def adjacency_from_labels(label_map: LabelMap, num_parts: int,
     """Raw-count adjacency matrix of a discrete label map."""
     if num_parts < 1:
         raise DomainError(f"num_parts must be >= 1, got {num_parts}")
-    if label_map.num_classes is not None and label_map.num_classes != num_parts:
-        raise DomainError(
-            f"map declares {label_map.num_classes} classes but num_parts is {num_parts}"
-        )
+    _check_fits(label_map, num_parts)
     labels = label_map.labels
-    _check_labels_below(labels, num_parts)
 
     # present part k is bit k % 64 of word k // 64 of each pixel's bitset; the
     # histogram numbers the present parts and is as long as the largest label
@@ -245,11 +241,9 @@ def _gm_forward(block: np.ndarray, cfg: AdjacencyConfig, references=None):
         if reference.size != c:
             raise DomainError(f"reference matrix is {reference.size} x {reference.size} but "
                               f"the prediction has {c} channels")
-    # every channel dilates, so the gradient fills a buffer of the block's size; without
-    # background, channel 0 dilates as zeros, and D's zero row keeps the products' rounding
+    # every channel dilates as given, so the gradient fills a buffer of the block's size;
+    # without background, D's zeroed row 0 keeps channel 0 out of the products
     first = 0 if cfg.include_background else 1
-    if first:  # empty if C = 1, which the dilation rejects
-        block = np.concatenate([np.zeros_like(block[1:2]), block[1:]])
     fields, state = soft_dilate_forward(block, cfg.element, cfg.soft_mode, cfg.beta)
     fields[:first] = 0.0
     dilated = fields.reshape(c, n, h * w).swapaxes(0, 1)  # a C x HW matrix D per scene

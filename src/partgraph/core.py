@@ -72,6 +72,20 @@ def _check_labels_below(labels: np.ndarray, num_classes: int) -> None:
         )
 
 
+def _check_fits(label_map: LabelMap, num_classes: int) -> None:
+    """Labels below ``num_classes``, which the map's declared class count, if any, must equal."""
+    if label_map.num_classes not in (None, num_classes):
+        raise DomainError(f"map declares {label_map.num_classes} classes, expected {num_classes}")
+    _check_labels_below(label_map.labels, num_classes)
+
+
+def _check_same_size(pred: LabelMap | ProbMap, gt: LabelMap) -> None:
+    """A prediction of the ground truth's height and width."""
+    if (pred.height, pred.width) != (gt.height, gt.width):
+        raise DomainError(f"prediction is {pred.height}x{pred.width} but ground truth is "
+                          f"{gt.height}x{gt.width}")
+
+
 @dataclass(frozen=True)
 class ProbMap:
     """H x W x C grid of per-pixel class probabilities, channel-last.
@@ -201,12 +215,7 @@ def argmax_map(prob_map: ProbMap) -> LabelMap:
 
 def project_labels(parts: LabelMap, mapping: PartsToObjectsMapping) -> LabelMap:
     """Replace each part label with the index of the object that owns it."""
-    if parts.num_classes is not None and parts.num_classes != mapping.num_parts:
-        raise DomainError(
-            f"map declares {parts.num_classes} classes but mapping covers "
-            f"{mapping.num_parts} parts"
-        )
-    _check_labels_below(parts.labels, mapping.num_parts)
+    _check_fits(parts, mapping.num_parts)
     lookup = mapping.object_lookup()
     return LabelMap(lookup[parts.labels], num_classes=mapping.num_objects)
 
@@ -217,13 +226,16 @@ def sum_probability(pred: ProbMap, mapping: PartsToObjectsMapping) -> ProbMap:
     Output channel j is the sum of the part channels owned by object j, so
     per-pixel mass is preserved (fixed-order reassociation of the same sum).
     """
-    if pred.num_classes != mapping.num_parts:
-        raise DomainError(
-            f"prediction has {pred.num_classes} channels but mapping covers "
-            f"{mapping.num_parts} parts"
-        )
+    _check_channels(pred, mapping)
     return ProbMap(np.moveaxis(_sum_probability_array(np.moveaxis(pred.probs, 2, 0), mapping),
                                0, 2))
+
+
+def _check_channels(pred: ProbMap, mapping: PartsToObjectsMapping) -> None:
+    """A prediction with one channel per part of ``mapping``."""
+    if pred.num_classes != mapping.num_parts:
+        raise DomainError(f"prediction has {pred.num_classes} channels but the mapping "
+                          f"covers {mapping.num_parts} parts")
 
 
 def _sum_probability_array(probs: np.ndarray, mapping: PartsToObjectsMapping) -> np.ndarray:

@@ -43,7 +43,9 @@ from .core import (
     LabelMap,
     PartsToObjectsMapping,
     ProbMap,
+    _check_channels,
     _check_labels_below,
+    _check_same_size,
     _sum_probability_array,
     project_labels,
 )
@@ -81,21 +83,13 @@ class LossReport:
 
 def _check_labels(pred: ProbMap, gt: LabelMap, num_labels: int) -> None:
     """Ground truth of the prediction's size, with labels below ``num_labels``."""
-    if (pred.height, pred.width) != (gt.height, gt.width):
-        raise DomainError(
-            f"prediction is {pred.height}x{pred.width} but ground truth is "
-            f"{gt.height}x{gt.width}"
-        )
+    _check_same_size(pred, gt)
     _check_labels_below(gt.labels, num_labels)
 
 
 def _check_objects(pred: ProbMap, gt_objects: LabelMap, mapping: PartsToObjectsMapping) -> None:
     """The prediction, object labels and mapping :func:`reconstruction_loss` accepts."""
-    if pred.num_classes != mapping.num_parts:
-        raise DomainError(
-            f"prediction has {pred.num_classes} channels but the mapping covers "
-            f"{mapping.num_parts} parts"
-        )
+    _check_channels(pred, mapping)
     _check_labels(pred, gt_objects, mapping.num_objects)
 
 

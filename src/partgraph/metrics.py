@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import LabelMap, LabelSet
+from .core import LabelMap, LabelSet, _check_labels_below, _check_same_size
 from .errors import DomainError
 
 
@@ -62,13 +62,9 @@ class ConfusionMatrix:
 
 def confusion(pred: LabelMap, gt: LabelMap, num_classes: int) -> ConfusionMatrix:
     """Confusion matrix of one prediction/ground-truth pair."""
-    if (pred.height, pred.width) != (gt.height, gt.width):
-        raise DomainError(
-            f"prediction is {pred.height}x{pred.width} but ground truth is "
-            f"{gt.height}x{gt.width}"
-        )
-    if max(int(pred.labels.max()), int(gt.labels.max())) >= num_classes:
-        raise DomainError(f"labels exceed the declared {num_classes} classes")
+    _check_same_size(pred, gt)
+    for labels in (pred.labels, gt.labels):
+        _check_labels_below(labels, num_classes)
     joint = num_classes * gt.labels.astype(np.int64) + pred.labels
     counts = np.bincount(joint.ravel(), minlength=num_classes * num_classes)
     return ConfusionMatrix(counts.reshape(num_classes, num_classes))

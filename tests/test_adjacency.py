@@ -186,6 +186,16 @@ def test_gm_entries_reject_nan_probabilities(mode):
             entry(probs, reference, cfg)
 
 
+@pytest.mark.parametrize("mode", ["hard_max", "smooth_max"])
+def test_one_part_map_without_background_scores_zero(mode):
+    # its one channel is the background, which adds nothing to either graph
+    cfg = AdjacencyConfig(include_background=False, soft_mode=mode)
+    reference = normalize_rows(adjacency_from_labels(LabelMap(np.zeros((5, 6), dtype=int)), 1,
+                                                     cfg))
+    loss, grad = gm_value_and_grad(np.ones((5, 6, 1)), reference, cfg)
+    assert loss == 0.0 and grad.shape == (5, 6, 1) and not grad.any()
+
+
 def test_exact_distance_matches_pixel_pair_oracle():
     # the pixels of part i within distance T of part j are part i's mask AND
     # part j's mask dilated by T; the pixel-pair scan the synth tests rely on
@@ -490,16 +500,18 @@ def test_total_loss_peak_memory_is_bounded():
     # at its peak total_loss holds three probability-sized arrays: D (which
     # becomes grad_D) and the smooth-max weights and reciprocals (which become the
     # dilation gradient, and then the returned one); everything else is chunk- or
-    # object-sized; measured 3.20x
+    # object-sized; measured 3.20x with background and without, where channel 0
+    # dilates as given and only its row of D is zeroed
     rng = np.random.default_rng(22)
     labels = random_label_map(rng, 128, 128, 60)
     mapping = PartsToObjectsMapping(tuple(range(0, 61, 4)))
     probs = random_probs(rng, 128, 128, 60)
     pred = ProbMap(probs)
-    tracemalloc.start()
-    try:
-        total_loss(pred, labels, None, mapping, AdjacencyConfig(), LossWeights())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.6 * probs.nbytes
+    for cfg in (AdjacencyConfig(), AdjacencyConfig(include_background=False)):
+        tracemalloc.start()
+        try:
+            total_loss(pred, labels, None, mapping, cfg, LossWeights())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * probs.nbytes, (cfg.include_background, peak / probs.nbytes)

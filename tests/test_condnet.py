@@ -11,8 +11,6 @@ from partgraph import (
     PartsToObjectsMapping,
     ProbMap,
     ToyNetConfig,
-    conv2d_backward,
-    conv2d_forward,
     init_toy_params,
     one_hot,
     project_labels,
@@ -25,6 +23,8 @@ from partgraph.condnet import (
     _conv_forward,
     _toy_forward_cached,
     as_tensor,
+    conv2d_backward,
+    conv2d_forward,
     softmax_channels,
     toy_backward,
     upsample2,

@@ -16,16 +16,19 @@ from partgraph import (
     ProbMap,
     ToyNetConfig,
     adjacency_from_labels,
-    conv2d_forward,
     save_ppm,
     train_toy,
 )
-from partgraph.condnet import _conv_backward
+from partgraph.adjacency import gm_value
+from partgraph.condnet import _conv_backward, conv2d_forward
 from partgraph.formats import save_segmap
 
 LABELS = LabelMap(np.zeros((4, 4), dtype=np.int32), num_classes=3)
 SQUARE = np.zeros((3, 3), dtype=np.int64)
 MAPPING = PartsToObjectsMapping((0, 1, 3))
+# a NaN background channel beside two valid ones; without background it adds
+# nothing to the loss, but it is still a probability array's channel
+NAN_BACKGROUND = np.dstack([np.full((4, 4, 1), np.nan), np.full((4, 4, 2), 0.5)])
 
 
 def case(name, needle, call):
@@ -44,6 +47,9 @@ CASES = [
          lambda _: adjacency_from_labels(LABELS, 0, AdjacencyConfig())),
     case("graph class count", "declares 3 classes",
          lambda _: adjacency_from_labels(LABELS, 4, AdjacencyConfig())),
+    case("graph matching NaN background", "[0, 1]",
+         lambda _: gm_value(NAN_BACKGROUND, AdjacencyMatrix(np.zeros((3, 3)), kind="normalized"),
+                            AdjacencyConfig(include_background=False))),
     case("conv gradient shape", "grad shape",
          lambda _: _conv_backward(np.zeros((2, 5, 5)), np.zeros((3, 2, 3, 3)),
                                   np.zeros((3, 4, 5)))),

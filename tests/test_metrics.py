@@ -45,8 +45,10 @@ def test_confusion_matches_loop_oracle():
 def test_confusion_shape_and_range_checks():
     with pytest.raises(DomainError):
         confusion(as_map([[0]]), as_map([[0, 1]]), 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"label 5 at pixel \(row=0, col=0\)"):
         confusion(as_map([[5]]), as_map([[0]]), 2)
+    with pytest.raises(DomainError, match=r"label 3 at pixel \(row=0, col=1\)"):
+        confusion(as_map([[0, 1]]), as_map([[0, 3]]), 2)
 
 
 def test_perfect_prediction_scores_one_everywhere():
