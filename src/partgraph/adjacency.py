@@ -33,11 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelMap, ProbMap, _check_fits
+from .core import LabelMap, ProbMap, _check_fits, _freeze
 from .errors import DomainError
 from .morphology import (
     StructuringElement,
     check_beta,
+    check_soft_mode,
     dilate_array,
     soft_dilate_backward,
     soft_dilate_forward,
@@ -59,7 +60,8 @@ class AdjacencyMatrix:
     """N_p x N_p nonnegative adjacency weights with a zero diagonal.
 
     ``kind`` is either ``raw_counts`` (dilated-intersection counts, possibly
-    binarized) or ``normalized`` (every nonzero row has unit L2 norm).
+    binarized) or ``normalized`` (every nonzero row has unit L2 norm). A contiguous
+    float64 array is stored itself, not a copy, and becomes read-only.
     """
 
     entries: np.ndarray
@@ -82,9 +84,7 @@ class AdjacencyMatrix:
             bad = norms[norms > 0.0]
             if bad.size and np.abs(bad - 1.0).max() > NORM_TOL:
                 raise DomainError("normalized rows must have unit L2 norm or be all zero")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _freeze(arr))
 
     @property
     def size(self) -> int:
@@ -114,9 +114,9 @@ class AdjacencyConfig:
                            whole_number(self.distance_threshold, "distance threshold"))
         if self.weighting not in WEIGHTINGS:
             raise DomainError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
+        check_soft_mode(self.soft_mode)
         check_beta(self.beta)
-        # shape and soft mode are validated by their consumers
-        StructuringElement(self.element_shape, 0)
+        StructuringElement(self.element_shape, 0)  # rejects an unknown shape
 
     @property
     def dilation_radius(self) -> int:
@@ -183,7 +183,6 @@ def adjacency_from_labels(label_map: LabelMap, num_parts: int,
         block += (members * counts[lo:lo + chunk, None]).T @ members
     raw = np.zeros((num_parts, num_parts))
     raw[np.ix_(present, present)] = block
-    del windows, members, block  # freed before the matrix is checked and copied
     np.fill_diagonal(raw, 0.0)
     if not cfg.include_background:
         raw[0] = raw[:, 0] = 0.0

@@ -9,10 +9,11 @@ concatenates the embedding level at its own resolution (deepest level first),
 
     stage i output = relu(conv(stage input))  ++  pyramid[k - i]
 
-with ``k`` stride-2 encoder stages mirrored by ``k`` decoder stages and a
-final 1x1 classifier + per-pixel softmax + upsample. The encoder and the
-embedding are chains of relu(conv) layers, both run by one forward/backward
-pair; the network's parameters are exactly the layers its forward runs.
+with ``k`` encoder stages mirrored by ``k`` decoder stages and a final 1x1
+classifier + per-pixel softmax + upsample. The encoder and the embedding are
+chains of relu(stride-2 conv) layers, both run by one forward/backward pair,
+so embedding level k - i has decoder stage i's size; the network's parameters
+are exactly the layers its forward runs.
 
 Conditioning modes: ``multi`` concatenates at every decoder stage, ``single``
 only at the deepest stage, ``off`` not at all (the object input is then
@@ -188,21 +189,20 @@ def softmax_backward(grad_probs: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    """Layer plan of the object-embedding cascade (one conv + relu per layer)."""
+    """Kernel sizes and channel counts of the object embedding's relu(stride-2 conv) layers."""
 
     kernel_sizes: tuple[int, ...] = (7, 5, 3, 3)
-    strides: tuple[int, ...] = (2, 2, 2, 2)
     channel_sizes: tuple[int, ...] = (8, 16, 32, 64)
 
     def __post_init__(self):
         n = len(self.kernel_sizes)
-        if n < 1 or len(self.strides) != n or len(self.channel_sizes) != n:
+        if n < 1 or len(self.channel_sizes) != n:
             raise DomainError("embedding layer plans must be nonempty and equal length")
         if any(k < 1 or k % 2 == 0 for k in self.kernel_sizes):
             raise DomainError(f"kernel sizes must be odd, got {self.kernel_sizes}")
-        if any(s < 1 for s in self.strides):
-            raise DomainError(f"strides must be >= 1, got {self.strides}")
-        for name in ("kernel_sizes", "strides", "channel_sizes"):
+        if min(self.channel_sizes) < 1:
+            raise DomainError(f"embedding channel counts must be >= 1, got {self.channel_sizes}")
+        for name in ("kernel_sizes", "channel_sizes"):
             object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
 
     @property
@@ -216,8 +216,7 @@ class EmbeddingConfig:
         if not 1 <= num_layers <= full.num_layers:
             raise DomainError(
                 f"toy embedding supports 1..{full.num_layers} layers, got {num_layers}")
-        return cls(full.kernel_sizes[:num_layers], full.strides[:num_layers],
-                   full.channel_sizes[:num_layers])
+        return cls(full.kernel_sizes[:num_layers], full.channel_sizes[:num_layers])
 
 
 @dataclass(frozen=True)
@@ -238,6 +237,8 @@ class ToyNetConfig:
             if len(plan) != self.num_stages:
                 raise DomainError(
                     f"{part} plan has {len(plan)} entries for {self.num_stages} stages")
+            if min(plan) < 1:
+                raise DomainError(f"{part} channel counts must be >= 1, got {plan}")
         if self.conditioning not in CONDITIONING_MODES:
             raise DomainError(
                 f"conditioning must be one of {CONDITIONING_MODES}, got {self.conditioning!r}"
@@ -312,21 +313,19 @@ def as_tensor(prob_map: ProbMap) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(prob_map.probs, 2, 0))
 
 
-def _chain_forward(x: np.ndarray, prefix: str, strides: tuple[int, ...],
-                   params: dict[str, np.ndarray]):
-    """Run layers ``{prefix}1 .. {prefix}n``, each relu(conv), on a (C, ..., H, W) tensor.
+def _chain_forward(x: np.ndarray, prefix: str, n: int, params: dict[str, np.ndarray]):
+    """Run layers ``{prefix}1 .. {prefix}n``, each relu(stride-2 conv), on a (C, ..., H, W) tensor.
 
-    Returns the (input, activation, stride) of every layer, which is what
+    Returns the (input, activation) of every layer, which is what
     :func:`_chain_backward` needs. Each relu output is positive exactly where
     its pre-activation is, and a layer's activation is the next one's input.
     """
     layers = []
-    h = x
-    for i, stride in enumerate(strides, start=1):
-        out = np.maximum(_conv_forward(h, params[f"{prefix}{i}.w"], params[f"{prefix}{i}.b"],
-                                       stride), 0.0)
-        layers.append((h, out, stride))
-        h = out
+    for i in range(1, n + 1):
+        out = np.maximum(_conv_forward(x, params[f"{prefix}{i}.w"], params[f"{prefix}{i}.b"], 2),
+                         0.0)
+        layers.append((x, out))
+        x = out
     return layers
 
 
@@ -341,11 +340,11 @@ def _chain_backward(layers: list, prefix: str, params: dict[str, np.ndarray],
     gets no gradient. Consumes ``layers``.
     """
     for i in range(len(layers), 0, -1):
-        h_in, out, stride = layers.pop()
+        h_in, out = layers.pop()
         if joins and i - 1 in joins:
             g = g + joins[i - 1]
         g, grads[f"{prefix}{i}.w"], grads[f"{prefix}{i}.b"] = _conv_backward(
-            h_in, params[f"{prefix}{i}.w"], g * (out > 0.0), stride, input_grad=i > 1)
+            h_in, params[f"{prefix}{i}.w"], g * (out > 0.0), 2, input_grad=i > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +369,18 @@ def _forward(x: np.ndarray, objects: np.ndarray, net: ToyNetConfig,
     """Probabilities and backward cache for (3, ..., H, W) images and object maps.
 
     The encoder and the embedding are :func:`_chain_forward` chains; pyramid
-    level i (0-based) is the activation of embedding layer i + 1. Each cached
-    decoder entry keeps the relu output, as the chains do. The 1x1 head and
-    the softmax run before the last upsample, with which both commute.
+    level i (0-based) is the activation of embedding layer i + 1, at decoder
+    stage k - i's size as H and W divide by 2^k (:func:`_check_input`). Each
+    cached decoder entry keeps the relu output, as the chains do. The 1x1 head
+    and the softmax run before the last upsample, with which both commute.
     """
     k = net.num_stages
     cache: dict = {"net": net, "params": params}
-    cache["enc"] = _chain_forward(x, "enc", (2,) * k, params)
+    cache["enc"] = _chain_forward(x, "enc", k, params)
     h = cache["enc"][-1][1]  # the last encoder activation
     if net.conditioning != "off":
-        cache["emb"] = _chain_forward(objects, "emb", net.embedding.strides[:k], params)
-    pyramid = cache["pyramid"] = [out for _, out, _ in cache.get("emb", [])]
+        cache["emb"] = _chain_forward(objects, "emb", k, params)
+    pyramid = cache["pyramid"] = [out for _, out in cache.get("emb", [])]
 
     dec_cache = cache["dec"] = []
     for i in range(1, k + 1):
@@ -390,11 +390,7 @@ def _forward(x: np.ndarray, objects: np.ndarray, net: ToyNetConfig,
         dec_cache.append((h, out))
         h = out
         if net.stage_conditioned(i):
-            level = pyramid[k - i]
-            if level.shape[-2:] != out.shape[-2:]:
-                raise DomainError(f"decoder stage {i}: features are {out.shape[-2:]} but "
-                                  f"conditioning level is {level.shape[-2:]}")
-            h = np.concatenate([out, level], axis=0)
+            h = np.concatenate([out, pyramid[k - i]], axis=0)
 
     probs = softmax_channels(_conv_forward(h, params["head.w"], params["head.b"]))
     cache["head_in"] = h

@@ -24,13 +24,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import LabelMap, LabelSet, _check_labels_below, _check_same_size
+from .core import LabelMap, LabelSet, _check_labels_below, _check_same_size, _freeze
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Square integer count matrix; rows are ground-truth classes, columns predictions."""
+    """Square integer count matrix; rows are ground-truth classes, columns predictions.
+    A contiguous int64 array is stored itself, not a copy, and becomes read-only."""
 
     counts: np.ndarray
 
@@ -42,9 +43,7 @@ class ConfusionMatrix:
             raise DomainError(f"confusion matrix must hold integers, got {arr.dtype}")
         if arr.min() < 0:
             raise DomainError("confusion counts must be nonnegative")
-        arr = arr.astype(np.int64, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
+        object.__setattr__(self, "counts", _freeze(arr.astype(np.int64, copy=False)))
 
     @property
     def size(self) -> int:

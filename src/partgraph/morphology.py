@@ -71,6 +71,12 @@ def whole_number(value, what: str) -> int:
     return int(value)
 
 
+def check_soft_mode(mode: str) -> None:
+    """Reject a soft-dilation mode outside SOFT_MODES."""
+    if mode not in SOFT_MODES:
+        raise DomainError(f"soft mode must be one of {SOFT_MODES}, got {mode!r}")
+
+
 def check_beta(beta: float) -> None:
     """Reject a smooth-max sharpness outside (0, MAX_BETA], NaN included."""
     if not 0.0 < beta <= MAX_BETA:
@@ -151,8 +157,7 @@ def soft_dilate_forward(stack: np.ndarray, elem: StructuringElement,
     # written so that NaN fails it: np.maximum would carry NaN through hard_max
     if not (x.min() >= 0.0 and x.max() <= 1.0 + 1e-6):
         raise DomainError("soft dilation expects values in [0, 1]")
-    if mode not in SOFT_MODES:
-        raise DomainError(f"mode must be one of {SOFT_MODES}, got {mode!r}")
+    check_soft_mode(mode)
     fields = x.reshape((-1,) + x.shape[-2:])
     # smooth_max's inv_open outlives the other arrays, as the gradient the backward returns:
     # allocated first, below them on the heap, it leaves their freed space reusable (the

@@ -69,6 +69,12 @@ def test_config_takes_a_whole_float_threshold_as_an_int():
     assert cfg.dilation_radius == 3
 
 
+def test_matrix_stores_the_given_array_read_only():
+    entries = np.array([[0.0, 2.0], [2.0, 0.0]])
+    assert AdjacencyMatrix(entries).entries is entries
+    assert not entries.flags.writeable
+
+
 def test_config_rejects_beta_outside_the_fixed_shift_range():
     for beta in (0.0, -2.0, float("nan"), float("inf"), float("-inf"), 701.0):
         with pytest.raises(DomainError):

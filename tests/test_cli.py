@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import struct
@@ -11,6 +12,7 @@ import pytest
 from partgraph import (
     AdjacencyConfig,
     AdjacencyMatrix,
+    EmbeddingConfig,
     LabelMap,
     LabelSet,
     LossWeights,
@@ -30,14 +32,20 @@ from partgraph import (
 from partgraph import cli
 from partgraph.cli import (
     _ADJACENCY_KEYS,
+    _NET_KEYS,
     _adjacency_config,
     _config_fields,
     _loss_weights,
     build_parser,
 )
 from partgraph.formats import load_params, load_segmap
+from partgraph.synth import SceneSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
 
 
 def run_cli(*args, **kwargs):
@@ -439,7 +447,7 @@ SMALL_SCENE = {"width": 32, "height": 32, "num_objects": 1, "parts_per_object": 
 
 
 def test_train_toy_params_hold_only_the_layers_the_net_runs(tmp_path):
-    config = {"net": {"stages": 2, "embedding": {"kernel_sizes": [7, 5, 3], "strides": [2, 2, 2],
+    config = {"net": {"stages": 2, "embedding": {"kernel_sizes": [7, 5, 3],
                                                  "channel_sizes": [8, 16, 32]}},
               "scene": SMALL_SCENE, "train_scenes": 1}
     cfg_path = tmp_path / "cfg.json"
@@ -468,10 +476,15 @@ def test_train_toy_five_stages_need_an_embedding_only_when_conditioned(tmp_path,
 
 
 def test_readme_config_example_runs(tmp_path):
-    # the config documented in the README, with every key it lists
+    # the config documented in the README holds exactly the accepted keys at every level
     block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
     config = json.loads(block)
-    assert {"T", "element", "weighting", "soft_mode", "beta"} <= config.keys()
+    run_keys = {"steps", "lr", "seed", "train_scenes", "heldout_scenes"}  # read by train-toy
+    top_keys = {"scene", "net", *_ADJACENCY_KEYS, *field_names(LossWeights), *run_keys}
+    assert config.keys() == top_keys
+    assert config["net"].keys() == _NET_KEYS.keys()
+    assert config["net"]["embedding"].keys() == field_names(EmbeddingConfig)
+    assert config["scene"].keys() == field_names(SceneSpec)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(block)
     result = run_cli("train-toy", "--config", str(cfg_path), "--steps", "1")
@@ -493,9 +506,18 @@ def test_readme_config_example_runs(tmp_path):
     (b"\xff{}", ["malformed"]),
     ({"train_scenes": 20, "heldout_scenes": -5, "steps": 1}, ["config.heldout_scenes", ">= 0"]),
     ({"train_scenes": -3, "heldout_scenes": 10}, ["config.train_scenes", ">= 1"]),
+    ({"net": {"embedding": {"strides": [2, 2]}}}, ["'strides'", "net.embedding"]),
+    ({"net": {"encoder_channels": [-1, 4]}}, ["encoder channel counts must be >= 1"]),
+    ({"net": {"encoder_channels": [0, 4]}}, ["encoder channel counts must be >= 1"]),
+    ({"net": {"decoder_channels": [16, -2]}}, ["decoder channel counts must be >= 1"]),
+    ({"net": {"embedding": {"channel_sizes": [0, 16, 32, 64]}}},
+     ["embedding channel counts must be >= 1"]),
+    ({"soft_mode": "bogus"}, ["soft mode must be one of", "'bogus'"]),
 ], ids=["scene-unknown", "kernel-sizes-scalar", "top-unknown", "steps-string", "stages-float",
         "T-bool", "parts-item-string", "not-an-object", "not-utf8", "heldout-negative",
-        "train-negative"])
+        "train-negative", "embedding-strides", "encoder-channels-negative",
+        "encoder-channels-zero", "decoder-channels-negative", "embedding-channels-zero",
+        "soft-mode-unknown"])
 def test_train_toy_config_rejects_unknown_or_mistyped_keys(tmp_path, config, needles):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())

@@ -51,7 +51,7 @@ def small_net(conditioning="multi", seed=3):
 
 def embedding_pyramid(probs, cfg, params):
     """Activations of every layer of ``cfg`` run as the network's embedding chain."""
-    return [out for _, out, _ in _chain_forward(as_tensor(probs), "emb", cfg.strides, params)]
+    return [out for _, out in _chain_forward(as_tensor(probs), "emb", cfg.num_layers, params)]
 
 
 def random_scene(rng, h=8, w=8, num_parts=5):
@@ -293,16 +293,6 @@ def test_concat_condition_single_mode():
     assert shallow.shape[0] == net.decoder_channels[1]
 
 
-def test_concat_condition_rejects_spatial_mismatch():
-    # a stride-1 second embedding layer leaves the deepest level at 4x4,
-    # while the deepest decoder stage of an 8x8 input works at 2x2
-    net = ToyNetConfig(num_stages=2, encoder_channels=(4, 6), decoder_channels=(6, 4),
-                       embedding=EmbeddingConfig((7, 5), (2, 1), (8, 16)))
-    params = init_toy_params(net, 5, 3)
-    with pytest.raises(DomainError, match="decoder stage 1.*conditioning level"):
-        toy_forward(np.zeros((3, 8, 8)), ProbMap(np.full((8, 8, 3), 1.0 / 3.0)), net, params)
-
-
 def test_toy_forward_output_is_probability_map():
     rng = np.random.default_rng(5)
     net = small_net()
@@ -445,7 +435,7 @@ def test_config_validation():
     ToyNetConfig(num_stages=3, encoder_channels=(4, 4, 4), decoder_channels=(4, 4, 4),
                  embedding=EmbeddingConfig.toy(2), conditioning="off")
     with pytest.raises(DomainError):
-        EmbeddingConfig(kernel_sizes=(4,), strides=(2,), channel_sizes=(8,))  # even kernel
+        EmbeddingConfig(kernel_sizes=(4,), channel_sizes=(8,))  # even kernel
 
 
 @pytest.mark.parametrize("conditioning", ["multi", "single", "off"])
@@ -455,8 +445,7 @@ def test_parameters_are_exactly_the_layers_the_backward_reaches(stages, extra, c
     depth = stages + extra
     net = ToyNetConfig(num_stages=stages, encoder_channels=(3,) * stages,
                        decoder_channels=(3,) * stages,
-                       embedding=EmbeddingConfig((5, 3, 3, 3, 3)[:depth], (2,) * depth,
-                                                 (4, 4, 6, 6, 8)[:depth]),
+                       embedding=EmbeddingConfig((5, 3, 3, 3, 3)[:depth], (4, 4, 6, 6, 8)[:depth]),
                        conditioning=conditioning)
     params = init_toy_params(net, 5, 3)
     x, _, objects = random_scene(np.random.default_rng(13), 16, 16)

@@ -55,10 +55,17 @@ CASES = [
                                   np.zeros((3, 4, 5)))),
     case("conv 4-D input", "(C, H, W) tensor",
          lambda _: conv2d_forward(np.zeros((2, 1, 5, 5)), np.zeros((3, 2, 3, 3)))),
-    case("embedding unequal plans", "equal length",
-         lambda _: EmbeddingConfig((3, 3), (1,), (4, 4))),
-    case("embedding stride 0", "strides must be >= 1",
-         lambda _: EmbeddingConfig((3,), (0,), (4,))),
+    case("embedding unequal plans", "equal length", lambda _: EmbeddingConfig((3, 3), (4,))),
+    case("embedding channels 0", "embedding channel counts must be >= 1, got (0, 16)",
+         lambda _: EmbeddingConfig((7, 5), (0, 16))),
+    case("encoder channels -1", "encoder channel counts must be >= 1, got (-1, 4)",
+         lambda _: ToyNetConfig(encoder_channels=(-1, 4))),
+    case("encoder channels 0", "encoder channel counts must be >= 1, got (0, 4)",
+         lambda _: ToyNetConfig(encoder_channels=(0, 4))),
+    case("decoder channels -2", "decoder channel counts must be >= 1, got (16, -2)",
+         lambda _: ToyNetConfig(decoder_channels=(16, -2))),
+    case("adjacency soft mode", "soft mode must be one of",
+         lambda _: AdjacencyConfig(soft_mode="bogus")),
     case("embedding toy(0)", "1..4 layers, got 0", lambda _: EmbeddingConfig.toy(0)),
     case("embedding toy(5)", "1..4 layers, got 5", lambda _: EmbeddingConfig.toy(5)),
     case("confusion 1-D", "must be square",

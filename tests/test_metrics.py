@@ -51,6 +51,12 @@ def test_confusion_shape_and_range_checks():
         confusion(as_map([[0, 1]]), as_map([[0, 3]]), 2)
 
 
+def test_confusion_matrix_stores_the_given_array_read_only():
+    counts = np.eye(2, dtype=np.int64)
+    assert ConfusionMatrix(counts).counts is counts
+    assert not counts.flags.writeable
+
+
 def test_perfect_prediction_scores_one_everywhere():
     rng = np.random.default_rng(2)
     labels = rng.integers(0, 5, (8, 8)).astype(np.int32)
