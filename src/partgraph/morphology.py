@@ -18,10 +18,12 @@ float); other values of beta are rejected.
 Every dilation is one window reduction over the last two axes of a
 (..., H, W) array, so a stack of channels dilates in one call: a row pass
 grows each row segment to its half-width, then a column pass combines the
-row segments of the window, each a handful of shifted slices. A square's
-segments all have half-width r; a diamond's has half-width r - |dy| at row
-offset dy. The cost grows linearly with the radius, and no further than the
-image reaches, so a radius beyond the image costs what the image costs.
+row segments of the window. A square's segments all have half-width r; a
+diamond's has half-width r - |dy| at row offset dy. The cost grows linearly
+with the radius, up to the image's size. Each chunk of fields is copied once
+into a buffer padded with the reduction's identity, so that every shift is
+one contiguous 1-D ufunc call over the flattened chunk: ~20 us per 256 x 256
+float64 field, against ~90 us over a 2-D strided slice (Xeon VM, numpy 2.4).
 
 Each reduction is one stock ufunc: ``np.bitwise_or``, which dilates each bit
 of an unsigned-integer bitset as its own mask; ``np.add`` for smooth_max;
@@ -29,12 +31,13 @@ and ``np.maximum`` of x - i * index for hard_max. numpy orders complex
 numbers by real part, then imaginary part, so the window maximum wins and a
 tie goes to the lowest index, the first pixel in row-major order.
 
-A soft dilation allocates its output and cache once, at the stack's size,
-and fills them a chunk of whole fields at a time, so that every window pass
-finds its chunk in cache. smooth_max works in place: its cache's ``weight``
-holds exp(beta * (x - 1)) and ``inv_open`` the window sums, then their
-reciprocals (0 where the output clamps at 1), then the input gradient, so a
-cache serves one backward. hard_max caches each output's winning input index.
+A dilation allocates its output and cache once, at the stack's size, and
+fills them a chunk of whole fields at a time, so that every pass finds its
+chunk in cache and the padded buffers stay chunk-sized. smooth_max works in
+place: its cache's ``weight`` holds exp(beta * (x - 1)) and ``inv_open`` the
+window sums, then their reciprocals (0 where the output clamps at 1), then
+the input gradient, so a cache serves one backward. hard_max caches each
+output's winning input index.
 """
 
 from __future__ import annotations
@@ -83,39 +86,44 @@ def check_beta(beta: float) -> None:
         raise DomainError(f"beta must be finite, > 0 and <= {MAX_BETA:g}, got {beta}")
 
 
-def _combine_shifted(acc, src, d: int, axis: int, op) -> None:
-    """Combine ``src`` shifted by -d and by +d along ``axis`` (-1 or -2) into ``acc`` with ``op``.
-
-    Shifted-in pixels from beyond the border do not exist, so the slices clip.
-    """
-    tail = (slice(None),) * (-1 - axis)
-    lo, hi = (..., slice(None, -d or None)) + tail, (..., slice(d, None)) + tail
-    op(acc[hi], src[lo], out=acc[hi])
+def _combine_shifted(acc, src, d: int, op) -> None:
+    """Combine flat ``src`` shifted by -d, then by +d, into ``acc`` with ``op``; the ends clip."""
+    op(acc[d:], src[:len(src) - d], out=acc[d:])
     if d:  # at d = 0 both shifts are src itself
-        op(acc[lo], src[hi], out=acc[lo])
+        op(acc[:-d], src[d:], out=acc[:-d])
 
 
 def _window_reduce(x: np.ndarray, elem: StructuringElement, op, start, out) -> np.ndarray:
-    """Reduce each pixel's border-clipped window over the last two axes of ``x`` into ``out``.
+    """Reduce each pixel's border-clipped window over an (F, H, W) chunk ``x`` into ``out``.
 
     ``op`` is a ufunc, associative and commutative, with ``start`` as its
-    identity. A row pass grows running row segments, and a column pass
-    combines the segment of every row offset dy, from the farthest offset
-    inward, since a diamond's segment half-width r - |dy| only grows on the
-    way. Offsets beyond the image reach nothing and are skipped, which bounds
-    the work by the image size whatever the radius.
+    identity, which pads each field by min(r, H - 1) rows and min(r, W - 1)
+    columns: a shift of the flat chunk reaches only pad beyond its field. A
+    row pass grows running row segments, and a column pass combines those of
+    every row offset dy, farthest first, as a diamond's half-width r - |dy|
+    only grows on the way; a square's are grown at the first dy, so its
+    padded x then holds the column pass. Offsets past the image are skipped.
     """
-    h, w = x.shape[-2:]
+    _, h, w = x.shape
     r = elem.radius
-    rows = x.copy()  # x reduced over row segments of half-width `grown`
+    ph, pw, acc_at = min(r, h - 1), min(r, w - 1), 2 * (elem.shape == "diamond")
+    # one block for padded x, row segments and a diamond's column pass: separate blocks went
+    # back to the system when freed, then faulted in again (~230 per 256 x 256 float64 field)
+    buf = np.empty((3 if acc_at else 2, len(x), h + ph, w + pw), dtype=x.dtype)
+    buf[0] = start
+    buf[0, :, :h, :w] = x
+    buf[1] = buf[0]  # x reduced over row segments of half-width `grown`
+    src, rows, acc = (buf[i].reshape(-1) for i in (0, 1, acc_at))
     grown = 0
-    out.fill(start)
-    for dy in range(min(r, h - 1), -1, -1):
-        half = min(r if elem.shape == "square" else r - dy, w - 1)
+    for dy in range(ph, -1, -1):
+        half = min(r if elem.shape == "square" else r - dy, pw)
         for dx in range(grown + 1, half + 1):
-            _combine_shifted(rows, x, dx, -1, op)
+            _combine_shifted(rows, src, dx, op)
         grown = max(grown, half)
-        _combine_shifted(out, rows, dy, -2, op)
+        if dy == ph:
+            acc.fill(start)
+        _combine_shifted(acc, rows, dy * (w + pw), op)
+    out[...] = buf[acc_at, :, :h, :w]
     return out
 
 
@@ -125,8 +133,13 @@ def dilate_array(bits: np.ndarray, elem: StructuringElement) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim < 2:
         raise DomainError(f"expected (..., H, W) masks, got shape {bits.shape}")
-    bits = bits if bits.dtype.kind == "u" else bits.astype(bool)
-    return _window_reduce(bits, elem, np.bitwise_or, 0, np.empty_like(bits))
+    bits = bits if bits.dtype.kind == "u" else bits.astype(bool, copy=False)
+    out = np.empty(bits.shape, dtype=bits.dtype)
+    if bits.size:  # a zero-size stack has no fields to chunk
+        fields, grown = (a.reshape((-1,) + bits.shape[-2:]) for a in (bits, out))
+        for part in _chunks(fields):
+            _window_reduce(fields[part], elem, np.bitwise_or, 0, grown[part])
+    return out
 
 
 def soft_dilate(channel: np.ndarray, elem: StructuringElement,
@@ -140,8 +153,8 @@ def soft_dilate(channel: np.ndarray, elem: StructuringElement,
 
 
 def _chunks(fields: np.ndarray):
-    """Slices of an (F, H, W) stack of about _CHUNK_BYTES of float64 each, one field at least."""
-    step = max(1, _CHUNK_BYTES // (8 * fields[0].size))
+    """Slices of an (F, H, W) stack of about _CHUNK_BYTES each, one field at least."""
+    step = max(1, _CHUNK_BYTES // fields[0].nbytes)
     return [slice(lo, lo + step) for lo in range(0, len(fields), step)]
 
 
@@ -172,8 +185,7 @@ def soft_dilate_forward(stack: np.ndarray, elem: StructuringElement,
             first = part.start * fields[0].size
             key = np.arange(-first, -first - out[part].size, -1).reshape(out[part].shape) * 1j
             key += fields[part]
-            best = _window_reduce(key, elem, np.maximum, complex(-np.inf, -np.inf),
-                                  np.empty_like(key))
+            best = _window_reduce(key, elem, np.maximum, complex(-np.inf, -np.inf), key)
             out[part], winner[part] = best.real, -best.imag
         return out.reshape(x.shape), ("hard_max", winner.reshape(x.shape))
 

@@ -258,3 +258,44 @@ def test_stacked_kernel_matches_offset_loop_oracle(mode, shape, radius):
         want, want_cache = soft_dilate_forward(stack[field], elem, mode, 20.0)
         assert np.array_equal(out[field], want)
         assert np.array_equal(grad[field], soft_dilate_backward(probe[field], want_cache))
+
+
+@pytest.mark.parametrize("shape", [(5, 0), (0, 5), (0, 0), (3, 0, 4)])
+@pytest.mark.parametrize("dtype", [bool, np.uint64])
+def test_dilate_array_keeps_zero_size_stacks(shape, dtype):
+    out = dilate_array(np.zeros(shape, dtype=dtype), StructuringElement("square", 2))
+    assert out.shape == shape and out.dtype == dtype
+
+
+# the window reduction shifts whole flattened chunks: set pixels only in the last
+# row and column of each field, where a shift that ran past the field's pad would
+# land in the next row or the next field of the same chunk
+@pytest.mark.parametrize("field", [(6, 5), (1, 7), (7, 1)])
+@pytest.mark.parametrize("shape", ["square", "diamond"])
+def test_shifts_never_wrap_into_the_next_row_or_field(field, shape):
+    h, w = field
+    rng = np.random.default_rng(h * 10 + w)
+    edge = np.zeros((3, h, w), dtype=bool)
+    edge[:, -1, :] = edge[:, :, -1] = True
+    stack = np.where(edge, 0.9 + 0.1 * rng.random(edge.shape), 0.05 * rng.random(edge.shape))
+    assert len(_chunks(stack)) == 1
+    bits = np.array([1, 2**40, 2**63], dtype=np.uint64)[:, None, None] * edge
+    probe = rng.standard_normal(stack.shape)
+    for radius in sorted({1, 2, w - 1, w + 3, h - 1, h + 3}):
+        elem = StructuringElement(shape, radius)
+        masks, words = dilate_array(edge, elem), dilate_array(bits, elem)
+        for f in range(len(stack)):
+            want = dilate_oracle(edge[f], shape, radius)
+            assert np.array_equal(masks[f], want), (radius, f)
+            assert np.array_equal(words[f], np.where(want, bits[f].max(), 0)), (radius, f)
+        for mode in ("hard_max", "smooth_max"):
+            out, cache = soft_dilate_forward(stack, elem, mode, 20.0)
+            grad = soft_dilate_backward(probe, cache)
+            for f in range(len(stack)):
+                want, want_cache = soft_dilate_forward_oracle(stack[f], shape, radius, mode, 20.0)
+                if mode == "hard_max":
+                    assert np.array_equal(out[f], want), (radius, f)
+                else:
+                    np.testing.assert_allclose(out[f], want, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(grad[f], soft_dilate_backward_oracle(probe[f], want_cache),
+                                           rtol=1e-12, atol=0)
