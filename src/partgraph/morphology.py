@@ -52,7 +52,7 @@ ELEMENT_SHAPES = ("square", "diamond")
 SOFT_MODES = ("hard_max", "smooth_max")
 # smooth_max shifts by 1 instead of the window peak; exp(-beta) must stay normal
 MAX_BETA = 700.0
-# Bytes per chunk of a soft dilation, one 256 x 256 field: it stays in L2 cache
+# Bytes per chunk of a dilation, one 256 x 256 float64 field: it stays in L2 cache
 _CHUNK_BYTES = 512 * 1024
 
 
