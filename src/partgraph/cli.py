@@ -9,8 +9,8 @@ Identical invocations produce byte-identical output. ``--threads`` is
 accepted and ignored: every command runs on one thread.
 
 JSON configs (``train-toy --config``, ``synth --spec``) set only the keys
-they name; every other value is the default of its config class. An unknown
-key or a wrongly typed value is a data error (exit 2).
+they name; every other value is the default of its config class. A key that
+breaks the JSON rules in ``formats`` is a data error (exit 2).
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import typing
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,9 @@ from .errors import DomainError, NumericError
 from .formats import (
     FORMAT_VERSION,
     PROB_MAGIC,
+    _config_fields,
     _load_json,
+    _typed,
     load_labelset,
     load_map,
     load_probmap,
@@ -82,51 +83,6 @@ _ADJACENCY_KEYS = {"T": "distance_threshold", "element": "element_shape",
 _NET_KEYS = {"stages": "num_stages", "encoder_channels": "encoder_channels",
              "decoder_channels": "decoder_channels", "conditioning": "conditioning",
              "embedding": "embedding"}
-_SCALARS = {int: ("an integer", (int,)), float: ("a number", (int, float)),
-            str: ("a string", (str,)), bool: ("true or false", (bool,))}
-
-
-def _typed(value, hint, where: str):
-    """``value`` checked against the field type ``hint``; lists become tuples and
-    objects become nested configs."""
-    if typing.get_origin(hint) is tuple:
-        if isinstance(value, list):
-            item = typing.get_args(hint)[0]
-            return tuple(_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
-        expected = "a list"
-    elif is_dataclass(hint):
-        if isinstance(value, dict):
-            return hint(**_config_fields(hint, value, where))
-        expected = "an object"
-    else:
-        expected, kinds = _SCALARS[hint]
-        if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
-            return value
-    raise DomainError(f"{where} must be {expected}, got {json.dumps(value)}")
-
-
-def _config_fields(cls, doc, where: str, keys: dict[str, str] | None = None,
-                   **flags) -> dict:
-    """Keyword arguments for the config dataclass ``cls``: the keys present in the
-    JSON object ``doc``, then every flag that is not None. Fields named by
-    neither keep the class default.
-
-    ``keys`` maps the accepted JSON keys to field names (default: every field
-    under its own name). An unknown key or a wrongly typed value is a
-    DomainError that names it.
-    """
-    if not isinstance(doc, dict):
-        raise DomainError(f"{where} must be an object, got {json.dumps(doc)}")
-    hints = typing.get_type_hints(cls)
-    keys = keys or {name: name for name in hints}
-    fields = {}
-    for key, value in doc.items():
-        if key not in keys:
-            raise DomainError(
-                f"unknown key {key!r} in {where}; expected one of {', '.join(sorted(keys))}")
-        fields[keys[key]] = _typed(value, hints[keys[key]], f"{where}.{key}")
-    fields.update((name, value) for name, value in flags.items() if value is not None)
-    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +199,6 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_train_toy(args) -> int:
     doc = _load_json(args.config, "train-toy config") if args.config else {}
-    if not isinstance(doc, dict):
-        raise DomainError("train-toy config must be a JSON object")
     run = {"steps": 200, "lr": 5e-3, "seed": 7, "train_scenes": 20, "heldout_scenes": 0}
     weight_keys = ("lambda1", "lambda2")
     known = {"scene", "net", *weight_keys, *_ADJACENCY_KEYS, *run}

@@ -14,16 +14,22 @@ Binary layouts (all integers little-endian unless noted):
 PGM follows the netpbm spec: P2 (ASCII) and P5 (raw) are accepted; on export
 maxval is num_classes - 1 (at least 1), and samples wider than 255 use the
 two-byte big-endian encoding netpbm prescribes.
+
+JSON inputs (label sets, ``train-toy --config``, ``synth --spec``) each hold
+one object, whose keys are typed by the dataclass fields they set; a bad one
+is a one-line DomainError that names it, as ``label-set.boundaries[0]``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import re
 import stat
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -61,11 +67,69 @@ def _read_header(f, magic: bytes, layout: str) -> list:
     return fields
 
 
-def _load_json(path: str | Path, what: str):
+def _load_json(path: str | Path, what: str) -> dict:
+    """The JSON object in ``path``; anything else is a DomainError naming ``what``."""
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DomainError(f"malformed {what} JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DomainError(f"{what} in {path} must be a JSON object, got {json.dumps(doc)}")
+    return doc
+
+
+# JSON type -> (one value, a list of them, the Python types that hold it)
+_SCALARS = {int: ("an integer", "integers", (int,)), float: ("a number", "numbers", (int, float)),
+            str: ("a string", "strings", (str,)), bool: ("true or false", "booleans", (bool,))}
+
+
+def _typed(value, hint, where: str):
+    """``value`` checked against the field type ``hint`` (``X | None`` reads as ``X``);
+    lists become tuples and objects become nested configs."""
+    if hint in _SCALARS:
+        expected, _, kinds = _SCALARS[hint]
+        if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
+            return value
+    elif typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        expected = f"a list of {_SCALARS[item][1]}"
+        if isinstance(value, list):
+            try:
+                return tuple(_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+            except DomainError as exc:
+                raise DomainError(f"{where} must be {expected}: {exc}") from None
+    elif type(None) in typing.get_args(hint):
+        return _typed(value, next(a for a in typing.get_args(hint) if a is not type(None)), where)
+    else:
+        return hint(**_config_fields(hint, value, where))
+    raise DomainError(f"{where} must be {expected}, got {json.dumps(value)}")
+
+
+def _config_fields(cls, doc, where: str, keys: dict[str, str] | None = None,
+                   **flags) -> dict:
+    """Keyword arguments for the dataclass ``cls``: the keys present in the
+    JSON object ``doc``, then every flag that is not None. Fields named by
+    neither keep the class default.
+
+    ``keys`` maps the accepted JSON keys to field names (default: every field
+    under its own name). An unknown key, a wrongly typed value or a missing
+    field without a default is a DomainError that names it.
+    """
+    if not isinstance(doc, dict):
+        raise DomainError(f"{where} must be an object, got {json.dumps(doc)}")
+    hints = typing.get_type_hints(cls)
+    keys = keys or {name: name for name in hints}
+    fields = {}
+    for key, value in doc.items():
+        if key not in keys:
+            raise DomainError(
+                f"unknown key {key!r} in {where}; expected one of {', '.join(sorted(keys))}")
+        fields[keys[key]] = _typed(value, hints[keys[key]], f"{where}.{key}")
+    fields.update((name, value) for name, value in flags.items() if value is not None)
+    for f in dataclasses.fields(cls):
+        if f.name not in fields and f.default is f.default_factory is dataclasses.MISSING:
+            raise DomainError(f"{where} lacks the required key {f.name!r}")
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -238,35 +302,16 @@ def save_labelset(label_set: LabelSet, path: str | Path) -> None:
 
 
 def load_labelset(path: str | Path) -> LabelSet:
+    """Read a label set as :func:`save_labelset` writes it; other keys are ignored."""
     doc = _load_json(path, "label-set")
-    for key, kind, what in (("boundaries", int, "integers"), ("object_names", str, "strings"),
-                            ("part_names", str, "strings")):
-        value = doc.get(key) if isinstance(doc, dict) else None
-        if value is not None and not (isinstance(value, list) and all(
-                isinstance(v, kind) and not isinstance(v, bool) for v in value)):
-            raise DomainError(f"label-set {key} must be a list of {what}, got {value!r}")
-    try:
-        mapping = PartsToObjectsMapping(
-            boundaries=tuple(doc["boundaries"]),
-            object_names=tuple(doc["object_names"]) if "object_names" in doc else None,
-            part_names=tuple(doc["part_names"]) if "part_names" in doc else None,
-        )
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"label-set JSON missing fields: {exc}") from exc
-    if "num_parts" in doc and doc["num_parts"] != mapping.num_parts:
-        raise DomainError(
-            f"declared num_parts {doc['num_parts']} disagrees with boundaries ({mapping.num_parts})"
-        )
-    if "num_objects" in doc and doc["num_objects"] != mapping.num_objects:
-        raise DomainError(
-            f"declared num_objects {doc['num_objects']} disagrees with boundaries "
-            f"({mapping.num_objects})"
-        )
+    names = ("boundaries", "object_names", "part_names")
+    mapping = PartsToObjectsMapping(**_config_fields(
+        PartsToObjectsMapping, {key: doc[key] for key in names if key in doc}, "label-set"))
+    for key, count in (("num_parts", mapping.num_parts), ("num_objects", mapping.num_objects)):
+        if key in doc and _typed(doc[key], int, f"label-set.{key}") != count:
+            raise DomainError(f"declared {key} {doc[key]} disagrees with boundaries ({count})")
     background = doc.get("background_is_class_zero", True)
-    if not isinstance(background, bool):
-        raise DomainError(f"label-set background_is_class_zero must be true or false, "
-                          f"got {background!r}")
-    return LabelSet(mapping, background)
+    return LabelSet(mapping, _typed(background, bool, "label-set.background_is_class_zero"))
 
 
 # ---------------------------------------------------------------------------

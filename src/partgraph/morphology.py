@@ -110,8 +110,8 @@ def _window_reduce(x: np.ndarray, elem: StructuringElement, op, start, out) -> n
     # one block for padded x, row segments and a diamond's column pass: separate blocks went
     # back to the system when freed, then faulted in again (~230 per 256 x 256 float64 field)
     buf = np.empty((3 if acc_at else 2, len(x), h + ph, w + pw), dtype=x.dtype)
-    buf[0] = start
     buf[0, :, :h, :w] = x
+    buf[0, :, h:] = buf[0, :, :h, w:] = start  # only the pad: rows below x, columns right of it
     buf[1] = buf[0]  # x reduced over row segments of half-width `grown`
     src, rows, acc = (buf[i].reshape(-1) for i in (0, 1, acc_at))
     grown = 0

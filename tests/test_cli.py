@@ -552,6 +552,24 @@ def test_metrics_rejects_a_bad_labelset(tmp_path, scene_files, labelset, needle)
     assert_one_line_data_error(result, needle)
 
 
+@pytest.mark.parametrize("labelset,needles", [
+    (b"[1, 2]", ["label-set in", "must be a JSON object, got [1, 2]"]),
+    (b'{"boundaries": [0, 1, 3], "part_names": null}',
+     ["label-set.part_names must be a list of strings, got null"]),
+    (b'{"boundaries": [0, 1, 3], "num_parts": "3"}',
+     ['label-set.num_parts must be an integer, got "3"']),
+    (b'{"boundaries": [0, 1, 3], "num_parts": 3.0}',
+     ["label-set.num_parts must be an integer, got 3.0"]),
+    (b'{"num_parts": 3}', ["label-set lacks the required key 'boundaries'"]),
+], ids=["list", "names-null", "count-string", "count-float", "no-boundaries"])
+def test_metrics_labelset_error_names_its_key(tmp_path, scene_files, labelset, needles):
+    base, _, _ = scene_files
+    (tmp_path / "bad.json").write_bytes(labelset)
+    result = run_cli("metrics", "--pred-dir", str(base), "--gt-dir", str(base),
+                     "--labelset", str(tmp_path / "bad.json"))
+    assert_one_line_data_error(result, *needles)
+
+
 def _limit_address_space():
     import resource
     # should the size check regress, the 20 GB read fails fast here

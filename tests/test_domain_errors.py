@@ -1,6 +1,9 @@
 """Contract checks that no other test reaches: each bad input raises a
 DomainError whose message is one line, as the CLI's stderr contract needs."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,17 +14,25 @@ from partgraph import (
     DomainError,
     EmbeddingConfig,
     LabelMap,
+    LabelSet,
     LossWeights,
     PartsToObjectsMapping,
     ProbMap,
     ToyNetConfig,
     adjacency_from_labels,
+    load_labelset,
+    load_probmap,
+    one_hot,
+    save_labelset,
     save_ppm,
+    toy_forward,
     train_toy,
 )
 from partgraph.adjacency import gm_value
 from partgraph.condnet import _conv_backward, conv2d_forward
-from partgraph.formats import save_segmap
+from partgraph.formats import load_pgm, load_segmap, save_pgm, save_segmap
+from partgraph.synth import SceneSpec, generate, generate_dataset
+from test_cli import run_cli
 
 LABELS = LabelMap(np.zeros((4, 4), dtype=np.int32), num_classes=3)
 SQUARE = np.zeros((3, 3), dtype=np.int64)
@@ -94,3 +105,129 @@ def test_contract_violation_is_a_one_line_domain_error(tmp_path, needle, call):
         call(tmp_path)
     message = str(info.value)
     assert needle in message and "\n" not in message
+
+
+
+def raises(call):
+    """The message of the DomainError that ``call(tmp_path)`` raises."""
+    def message(tmp):
+        with pytest.raises(DomainError) as info:
+            call(tmp)
+        return str(info.value)
+    return message
+
+
+def loads(load, data: bytes, name: str):
+    """The message of the DomainError that ``load`` raises on a file holding ``data``."""
+    def call(tmp):
+        (tmp / name).write_bytes(data)
+        load(tmp / name)
+    return raises(call)
+
+
+def exits_2(setup):
+    """The stderr line of the CLI run on ``setup(tmp_path)``, which must exit 2."""
+    def message(tmp):
+        result = run_cli(*setup(tmp))
+        assert result.returncode == 2 and result.stdout == b""
+        return result.stderr.decode().removesuffix("\n")
+    return message
+
+
+def segm(version=1, width=1, height=1, classes=1) -> bytes:
+    header = struct.pack("<BIII", version, width, height, classes)
+    return b"SEGM" + header + bytes(2 * width * height)
+
+
+def prob(values, version=1, width=1, height=1) -> bytes:
+    header = struct.pack("<BIII", version, width, height, len(values))
+    return b"PROB" + header + np.asarray(values, dtype="<f4").tobytes()
+
+
+def metrics_run(pred_names, gt_names):
+    """The arguments of metrics on two directories of 2x2 label maps with these names."""
+    def setup(tmp):
+        for sub, names in (("pred", pred_names), ("gt", gt_names)):
+            (tmp / sub).mkdir()
+            for name in names:
+                save_segmap(LabelMap(np.zeros((2, 2), dtype=np.int32), num_classes=3),
+                            tmp / sub / name)
+        save_labelset(LabelSet(MAPPING), tmp / "ls.json")
+        return ("metrics", "--pred-dir", str(tmp / "pred"), "--gt-dir", str(tmp / "gt"),
+                "--labelset", str(tmp / "ls.json"))
+    return setup
+
+
+def train_toy_run(config: dict):
+    """The arguments of a one-step train-toy run on ``config``."""
+    def setup(tmp):
+        (tmp / "cfg.json").write_text(json.dumps(config))
+        return ("train-toy", "--config", str(tmp / "cfg.json"), "--steps", "1")
+    return setup
+
+
+ZEROS_8 = LabelMap(np.zeros((8, 8), dtype=np.int32))
+
+# checks that the tests of their modules do not reach
+UNREACHED = [
+    case("segm version", "unsupported SEGM version 2",
+         loads(load_segmap, segm(version=2), "x.segmap")),
+    case("prob version", "unsupported PROB version 3",
+         loads(load_probmap, prob([1.0], version=3), "x.probmap")),
+    case("segm width 0", "width=0", loads(load_segmap, segm(width=0), "x.segmap")),
+    case("segm height 0", "height=0", loads(load_segmap, segm(height=0), "x.segmap")),
+    case("segm classes 0", "num_classes=0", loads(load_segmap, segm(classes=0), "x.segmap")),
+    case("prob width 0", "width=0", loads(load_probmap, prob([1.0], width=0), "x.probmap")),
+    case("prob height 0", "height=0", loads(load_probmap, prob([1.0], height=0), "x.probmap")),
+    case("prob channels 0", "channels=0", loads(load_probmap, prob([]), "x.probmap")),
+    case("prob outside [0, 1]", "outside [0, 1]",
+         loads(load_probmap, prob([1.5, -0.5]), "x.probmap")),
+    case("prob sums", "sums deviate from 1", loads(load_probmap, prob([0.5, 0.4]), "x.probmap")),
+    case("p2 above maxval", "sample 5 exceeds maxval 1",
+         loads(load_pgm, b"P2\n1 1\n1\n5\n", "x.pgm")),
+    case("p5 above maxval", "sample 7 exceeds maxval 1",
+         loads(load_pgm, b"P5\n1 1\n1\n\x07", "x.pgm")),
+    case("pgm maxval", "limited to 65535, needed 69999",
+         raises(lambda tmp: save_pgm(LabelMap(np.zeros((1, 1), dtype=np.int32),
+                                              num_classes=70000), tmp / "x.pgm"))),
+    case("labelset num_objects", "declared num_objects 5 disagrees with boundaries (2)",
+         loads(load_labelset, b'{"num_objects": 5, "boundaries": [0, 1, 3]}', "ls.json")),
+    case("label map 1-D", "must be 2D", raises(lambda _: LabelMap(np.zeros(3, dtype=np.int32)))),
+    case("negative label", "negative label -1 at pixel (row=0, col=1)",
+         raises(lambda _: LabelMap(np.array([[0, -1]])))),
+    case("label map classes 0", "num_classes must be >= 1, got 0",
+         raises(lambda _: LabelMap(np.zeros((1, 1), dtype=np.int32), num_classes=0))),
+    case("probabilities 2-D", "must be H x W x C", raises(lambda _: ProbMap(np.ones((2, 2))))),
+    case("one-hot 0 classes", "num_classes must be >= 1, got 0",
+         raises(lambda _: one_hot(ZEROS_8, 0))),
+    case("synth 0 objects", "need at least one object",
+         raises(lambda _: SceneSpec(num_objects=0, parts_per_object=()))),
+    case("synth 0 parts", "every object needs at least one part",
+         raises(lambda _: SceneSpec(num_objects=1, parts_per_object=(0,)))),
+    case("synth min_instance 0", "min_instance must be >= 1",
+         raises(lambda _: SceneSpec(min_instance=0))),
+    case("synth canvas", "canvas 8x8 is too small for 3 objects",
+         raises(lambda _: generate(SceneSpec(width=8, height=8)))),
+    case("synth rings", "cannot hold 12 nested rings",
+         raises(lambda _: generate(SceneSpec(num_objects=1, parts_per_object=(12,),
+                                             layout="nested_blobs")))),
+    case("synth 0 scenes", "need at least one scene",
+         raises(lambda _: generate_dataset(SceneSpec(), 0))),
+    case("conditioning", "conditioning must be one of",
+         raises(lambda _: ToyNetConfig(conditioning="bogus"))),
+    case("image channels", "input image must be (3, H, W), got shape (1, 8, 8)",
+         raises(lambda _: toy_forward(np.zeros((1, 8, 8)), one_hot(ZEROS_8, 2),
+                                      ToyNetConfig(), {}))),
+    case("metrics without maps", "no .segmap files", exits_2(metrics_run([], []))),
+    case("metrics file names", "different file names",
+         exits_2(metrics_run(["a.segmap"], ["b.segmap"]))),
+    case("train-toy scene", "scene must be an object, got 5", exits_2(train_toy_run({"scene": 5}))),
+    case("train-toy embedding", "net.embedding must be an object, got 3",
+         exits_2(train_toy_run({"net": {"embedding": 3}}))),
+]
+
+
+@pytest.mark.parametrize("needle, message", UNREACHED)
+def test_unreached_check_ends_in_one_line_that_names_it(tmp_path, needle, message):
+    text = message(tmp_path)
+    assert needle in text and "\n" not in text

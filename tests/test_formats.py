@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import struct
 import tracemalloc
 
@@ -5,11 +7,15 @@ import numpy as np
 import pytest
 
 from partgraph import (
+    AdjacencyConfig,
     DomainError,
+    EmbeddingConfig,
     LabelMap,
     LabelSet,
+    LossWeights,
     PartsToObjectsMapping,
     ProbMap,
+    ToyNetConfig,
     load_labelset,
     load_map,
     load_params,
@@ -20,7 +26,8 @@ from partgraph import (
     save_ppm,
     save_probmap,
 )
-from partgraph.formats import load_pgm, load_segmap, save_pgm, save_segmap
+from partgraph.formats import _config_fields, load_pgm, load_segmap, save_pgm, save_segmap
+from partgraph.synth import SceneSpec
 
 
 def test_segmap_round_trip_bit_identical(tmp_path):
@@ -36,6 +43,14 @@ def test_segmap_round_trip_bit_identical(tmp_path):
     path2 = tmp_path / "m2.segmap"
     save_segmap(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_segmap_without_declared_classes_round_trips(tmp_path):
+    labels = LabelMap(np.array([[0, 4], [2, 1]], dtype=np.int32))
+    save_segmap(labels, tmp_path / "x.segmap")
+    back = load_segmap(tmp_path / "x.segmap")
+    assert back.num_classes == 5
+    assert np.array_equal(back.labels, labels.labels)
 
 
 def test_segmap_header_fields(tmp_path):
@@ -210,6 +225,16 @@ def test_labelset_round_trip(tmp_path):
     assert back.background_is_class_zero
 
 
+@pytest.mark.parametrize("label_set", [
+    LabelSet(PartsToObjectsMapping((0, 1, 3))),
+    LabelSet(PartsToObjectsMapping((0, 2, 3), object_names=("a", "b")), False),
+    LabelSet(PartsToObjectsMapping((0, 1, 2), object_names=("bg", "x"), part_names=("bg", "x"))),
+], ids=["bare", "no-background", "named"])
+def test_every_saved_labelset_loads_back_equal(tmp_path, label_set):
+    save_labelset(label_set, tmp_path / "ls.json")
+    assert load_labelset(tmp_path / "ls.json") == label_set
+
+
 def test_labelset_inconsistent_counts(tmp_path):
     path = tmp_path / "ls.json"
     path.write_text('{"num_parts": 5, "num_objects": 2, "boundaries": [0, 1, 3]}')
@@ -233,6 +258,23 @@ def test_labelset_fields_must_have_their_json_types(tmp_path, fields, message):
     path.write_text("{%s}" % fields)
     with pytest.raises(DomainError, match=message):
         load_labelset(path)
+
+
+@pytest.mark.parametrize("config", [
+    SceneSpec(width=24, height=16, num_objects=2, parts_per_object=(1, 3), min_instance=2,
+              layout="nested_blobs", seed=9),
+    ToyNetConfig(num_stages=3, encoder_channels=(4, 6, 8), decoder_channels=(8, 6, 4),
+                 embedding=EmbeddingConfig((5, 3, 3), (4, 8, 12)), conditioning="single",
+                 seed=2),
+    AdjacencyConfig(distance_threshold=6, element_shape="diamond", weighting="unweighted",
+                    include_background=False, soft_mode="hard_max", beta=7.5),
+    LossWeights(lambda1=0.25, lambda2=0.0),
+    PartsToObjectsMapping((0, 1, 3), object_names=("bg", "cat"),
+                          part_names=("bg", "cat_head", "cat_body")),
+], ids=lambda config: type(config).__name__)
+def test_every_config_round_trips_through_the_json_reader(config):
+    doc = json.loads(json.dumps(dataclasses.asdict(config)))
+    assert type(config)(**_config_fields(type(config), doc, "config")) == config
 
 
 def test_params_round_trip(tmp_path):
