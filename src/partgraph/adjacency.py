@@ -20,11 +20,12 @@ soft-dilated probability channels and the count becomes a sum of products.
 On a one-hot prediction with hard-max dilation it equals the discrete
 counts, so a perfect prediction scores exactly 0.
 
-All of it is one private forward/backward pair over a (C, N, H, W) block of N
-scenes, the layout the network emits, whose backward returns its gradient in
-the buffer the dilation cache owns. Every channel dilates as given; without
-background, channel 0's rows of D and grad_D are zeroed, so its gradient is
-exactly 0. The public (H, W, C) entries wrap the pair on a block of one scene.
+All of it is one private function over a (C, N, H, W) block of N scenes, the
+layout the network emits, that returns the raw adjacencies, the losses and the
+gradient, each only when asked for; the gradient comes back in the buffer the
+dilation backward owns. Every channel dilates as given; without background,
+channel 0's rows of D and grad_D are zeroed, so its gradient is exactly 0. The
+public (H, W, C) entries wrap the function on a block of one scene.
 """
 
 from __future__ import annotations
@@ -210,28 +211,37 @@ def soft_adjacency(pred: ProbMap, cfg: AdjacencyConfig):
     one-hot input with hard_max this reproduces the discrete counts of the
     argmax map exactly.
     """
-    raw, _, _ = _gm_forward(np.moveaxis(pred.probs, 2, 0)[:, None], cfg)
+    raw, _, _ = _graph_matching(np.moveaxis(pred.probs, 2, 0)[:, None], cfg)
     raw_m = AdjacencyMatrix(raw[0], RAW_COUNTS)
     return raw_m, normalize_rows(raw_m)
 
 
 def gm_value_and_grad(probs: np.ndarray, reference: AdjacencyMatrix, cfg: AdjacencyConfig):
     """(loss, gradient) of the graph-matching loss for an (H, W, C) probability array."""
-    _, losses, cache = _gm_forward(np.moveaxis(probs, 2, 0)[:, None], cfg, [reference])
-    return float(losses[0]), np.moveaxis(_gm_backward(cache, 1.0)[:, 0], 0, 2)
+    _, losses, grad = _graph_matching(np.moveaxis(probs, 2, 0)[:, None], cfg, [reference], 1.0)
+    return float(losses[0]), np.moveaxis(grad[:, 0], 0, 2)
 
 
 def gm_value(probs: np.ndarray, reference: AdjacencyMatrix, cfg: AdjacencyConfig) -> float:
     """Loss-only variant of :func:`gm_value_and_grad` (used by finite-difference checks)."""
-    return float(_gm_forward(np.moveaxis(probs, 2, 0)[:, None], cfg, [reference])[1][0])
+    return float(_graph_matching(np.moveaxis(probs, 2, 0)[:, None], cfg, [reference])[1][0])
 
 
-def _gm_forward(block: np.ndarray, cfg: AdjacencyConfig, references=None):
-    """Graph matching on a (C, N, H, W) block of N scenes: (raw, losses, cache).
+def _graph_matching(block: np.ndarray, cfg: AdjacencyConfig, references=None, scale=None):
+    """Graph matching on a (C, N, H, W) block of N scenes: (raw, losses, grad).
 
     ``raw`` holds the N raw soft adjacencies. Given a normalized C x C reference
     per scene, ``losses`` holds their Frobenius distances to the row-normalized
-    ``raw`` and ``cache`` feeds :func:`_gm_backward`; without them both are None.
+    ``raw``; given also ``scale``, ``grad`` is ``scale`` times each scene's loss
+    gradient as a (C, N, H, W) block. A result not asked for is None, so a
+    loss-only call never runs the dilation backward.
+
+    The gradient differentiates loss -> row normalization -> soft adjacency ->
+    soft dilation. With ``smooth_max`` the chain is smooth; with ``hard_max``
+    the window-argmax subgradient is used. A scene at a loss of exactly 0 gets
+    the zero gradient, and without background channel 0 gets exactly 0. D is
+    overwritten by grad_D, and ``grad`` is the dilation backward's own buffer
+    (smooth-max's ``inv_open``, hard-max's ``bincount`` output), scaled in place.
     """
     c, n, h, w = block.shape
     for reference in references or ():
@@ -251,45 +261,29 @@ def _gm_forward(block: np.ndarray, cfg: AdjacencyConfig, references=None):
     raw = _apply_weighting(counts, cfg.weighting)
     if references is None:
         return raw, None, None
-    normalized, norms = _unit_rows(raw)
-    diff = normalized - np.stack([reference.entries for reference in references])
+    unit, norms = _unit_rows(raw)
+    diff = unit - np.stack([reference.entries for reference in references])
     # per scene the dot product np.linalg.norm takes of one flattened matrix
     flat = diff.reshape(n, 1, c * c)
     losses = np.sqrt(flat @ flat.swapaxes(1, 2)).ravel()
-    return raw, losses, {"fields": fields, "first": first, "state": state, "counts": counts,
-                         "weighting": cfg.weighting, "normalized": normalized,
-                         "norms": norms, "diff": diff, "losses": losses}
+    if scale is None:
+        return raw, losses, None
 
-
-def _gm_backward(cache: dict, scale: float) -> np.ndarray:
-    """``scale`` times each scene's loss gradient, as a (C, N, H, W) block.
-
-    Differentiates loss -> row normalization -> soft adjacency -> soft
-    dilation. With ``smooth_max`` the chain is smooth; with ``hard_max`` the
-    window-argmax subgradient is used. A scene at a loss of exactly 0 gets
-    the zero gradient, and without background channel 0 gets exactly 0. D is
-    overwritten by grad_D, and the result is the dilation backward's own
-    buffer (smooth-max's cached ``inv_open``, hard-max's ``bincount`` output),
-    scaled in place, so a cache serves one backward.
-    """
-    losses = cache["losses"][:, None, None]
-    grad_norm = cache["diff"] / np.where(losses > 0.0, losses, np.inf)
+    scene_losses = losses[:, None, None]
+    grad_norm = diff / np.where(scene_losses > 0.0, scene_losses, np.inf)
     # through row normalization: for nonzero rows u with n = u / |u|, grad_u = (grad_n
     # - n (n . grad_n)) / |u|, zero on the diagonal as n and grad_n are; zero rows pass nothing
-    unit, norms = cache["normalized"], cache["norms"][..., None]
+    norms = norms[..., None]
     inner = np.sum(unit * grad_norm, axis=-1, keepdims=True)
     grad_raw = np.divide(grad_norm - unit * inner, norms, out=np.zeros_like(unit),
                          where=norms > 0.0)
-    if cache["weighting"] == "unweighted":
-        grad_raw *= cache["counts"] < 1.0
-
+    if cfg.weighting == "unweighted":
+        grad_raw *= counts < 1.0
     # counts = D D^T, so grad_D = (G + G^T) D, written over D a column chunk at a time
-    first, fields = cache["first"], cache.pop("fields")
     sym = grad_raw + grad_raw.swapaxes(1, 2)
-    dilated = fields.reshape(fields.shape[:2] + (-1,)).swapaxes(0, 1)
-    for lo in range(0, dilated.shape[2], _GRAD_COLUMNS):
+    for lo in range(0, h * w, _GRAD_COLUMNS):
         columns = dilated[..., lo:lo + _GRAD_COLUMNS]
         columns[...] = sym @ columns
     fields[:first] = 0.0  # a background column of G would reach channel 0
-    grad = soft_dilate_backward(fields, cache.pop("state"))
-    return np.multiply(grad, scale, out=grad)
+    grad = soft_dilate_backward(fields, state)
+    return raw, losses, np.multiply(grad, scale, out=grad)

@@ -121,21 +121,12 @@ def _cmd_graph(args) -> int:
     if args.normalized:
         matrix = normalize_rows(matrix)
     if args.format == "json":
-        _write_result(_graph_json(matrix), args.out)
+        doc = {"size": matrix.size, "kind": matrix.kind, "entries": matrix.entries.tolist()}
+        _write_result(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         # Python floats: numpy scalars take twice as long to format
         _write_result(_csv(matrix.entries.tolist()), args.out)
     return 0
-
-
-def _graph_json(matrix) -> str:
-    """The bytes of ``json.dumps(doc, indent=2)`` of the matrix, which takes the pure-Python
-    encoder, with the C one on each row: both format floats with ``float.__repr__``."""
-    cell = "\n      "
-    rows = ",\n".join(f"    [{cell}{json.dumps(row, separators=(',' + cell, ':'))[1:-1]}\n    ]"
-                      for row in matrix.entries.tolist())
-    return (f'{{\n  "size": {matrix.size},\n  "kind": {json.dumps(matrix.kind)},\n'
-            f'  "entries": [\n{rows}\n  ]\n}}\n')
 
 
 def _load_object_labels(path: str) -> LabelMap:

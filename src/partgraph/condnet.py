@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjacency import AdjacencyConfig, _gm_forward
+from .adjacency import AdjacencyConfig, _graph_matching
 from .core import PartsToObjectsMapping, ProbMap, one_hot
 from .errors import DomainError, NumericError
 from .losses import LossReport, LossWeights, _block_loss, reference_graph
@@ -565,5 +565,5 @@ def mean_gm_loss(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
         probs, _ = _forward(images, objs, net, params)
         if not np.isfinite(probs).all():
             raise NumericError("non-finite activations on held-out scenes")
-        losses.extend(_gm_forward(probs, adj_cfg, [ref for _, _, ref in targets])[1])
+        losses.extend(_graph_matching(probs, adj_cfg, [ref for _, _, ref in targets])[1])
     return float(np.cumsum(losses)[-1]) / len(scenes)  # summed in scene order

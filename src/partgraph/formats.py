@@ -71,7 +71,7 @@ def _load_json(path: str | Path, what: str) -> dict:
     """The JSON object in ``path``; anything else is a DomainError naming ``what``."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DomainError(f"malformed {what} JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DomainError(f"{what} in {path} must be a JSON object, got {json.dumps(doc)}")
@@ -159,12 +159,8 @@ def load_segmap(path: str | Path) -> LabelMap:
         if width < 1 or height < 1 or num_classes < 1:
             raise DomainError(f"bad header: width={width} height={height} num_classes={num_classes}")
         payload = _read_exact(f, 2 * width * height, "label payload")
-    labels = np.frombuffer(payload, dtype="<u2").reshape(height, width).astype(np.int32)
-    if labels.max() >= num_classes:
-        raise DomainError(
-            f"label {labels.max()} exceeds declared num_classes {num_classes}"
-        )
-    return LabelMap(labels, num_classes=num_classes)
+    return LabelMap(np.frombuffer(payload, dtype="<u2").reshape(height, width),
+                    num_classes=num_classes)
 
 
 # ---------------------------------------------------------------------------

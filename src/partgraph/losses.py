@@ -33,8 +33,7 @@ import numpy as np
 from .adjacency import (
     AdjacencyConfig,
     AdjacencyMatrix,
-    _gm_backward,
-    _gm_forward,
+    _graph_matching,
     adjacency_from_labels,
     gm_value_and_grad,  # noqa: F401  (bench/run.py --trace 1 patches this name here)
     normalize_rows,
@@ -164,8 +163,8 @@ def _block_loss(probs: np.ndarray, targets, mapping: PartsToObjectsMapping,
     class the sum commutes; on it, gm is taken out first and added back last.
     """
     labels = np.stack([p.labels for p, _, _ in targets])
-    _, losses, cache = _gm_forward(probs, cfg, [reference for _, _, reference in targets])
-    grad = _gm_backward(cache, weights.lambda2)
+    _, losses, grad = _graph_matching(probs, cfg, [reference for _, _, reference in targets],
+                                      weights.lambda2)
     index = labels[None]
     gm_true = np.take_along_axis(grad, index, axis=0)
     np.put_along_axis(grad, index, 0.0, axis=0)

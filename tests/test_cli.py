@@ -11,7 +11,6 @@ import pytest
 
 from partgraph import (
     AdjacencyConfig,
-    AdjacencyMatrix,
     EmbeddingConfig,
     LabelMap,
     LabelSet,
@@ -171,12 +170,17 @@ def test_graph_json_and_normalized(scene_files):
 
 
 @pytest.mark.parametrize("size", [1, 7, 109])
-def test_graph_json_is_the_bytes_of_json_dumps_with_indent_2(size):
-    entries = np.resize([0.0, 5e-324, 1e-300, 3.0, 1 / 3], (size, size))  # cycles the values
-    np.fill_diagonal(entries, 0.0)
-    for matrix in (AdjacencyMatrix(entries), normalize_rows(AdjacencyMatrix(entries))):
+def test_graph_json_output_is_json_dumps_with_indent_2(tmp_path, size):
+    # a 1-part map's graph is the 1 x 1 zero matrix; the others cycle their parts over the map
+    label_map = LabelMap(np.resize(np.arange(size), (12, 12)), num_classes=size)
+    save_map(label_map, tmp_path / "parts.segmap")
+    raw = adjacency_from_labels(label_map, size, AdjacencyConfig())
+    for flags, matrix in (((), raw), (("--normalized",), normalize_rows(raw))):
+        result = run_cli("graph", "--in", str(tmp_path / "parts.segmap"), "--parts", str(size),
+                         "--format", "json", *flags)
+        assert result.returncode == 0
         doc = {"size": matrix.size, "kind": matrix.kind, "entries": matrix.entries.tolist()}
-        assert cli._graph_json(matrix) == json.dumps(doc, indent=2) + "\n"
+        assert result.stdout.decode() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_csv_cells_keep_their_9g_text():
@@ -568,6 +572,23 @@ def test_metrics_labelset_error_names_its_key(tmp_path, scene_files, labelset, n
     result = run_cli("metrics", "--pred-dir", str(base), "--gt-dir", str(base),
                      "--labelset", str(tmp_path / "bad.json"))
     assert_one_line_data_error(result, *needles)
+
+
+@pytest.mark.parametrize("command, what", [
+    (("train-toy", "--config", "{json}", "--steps", "1"), "train-toy config"),
+    (("synth", "--spec", "{json}", "--out-dir", "{base}/out", "--count", "1"), "scene spec"),
+    (("metrics", "--pred-dir", "{base}", "--gt-dir", "{base}", "--labelset", "{json}"),
+     "label-set"),
+    (("loss", "--pred", "{base}/pred.probmap", "--gt", "{base}/parts.segmap",
+      "--mapping", "{json}"), "label-set"),
+], ids=["train-toy", "synth", "metrics", "loss"])
+def test_json_nested_too_deeply_is_a_data_error(tmp_path, scene_files, command, what):
+    # deeper than the parser's recursion limit: one line, not a RecursionError traceback
+    base, _, _ = scene_files
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    result = run_cli(*(arg.format(json=path, base=base) for arg in command))
+    assert_one_line_data_error(result, f"malformed {what} JSON", "recursion")
 
 
 def _limit_address_space():

@@ -84,7 +84,7 @@ def test_segmap_malformed(tmp_path):
     evil[17:19] = (40).to_bytes(2, "little")
     bad_label = tmp_path / "label.segmap"
     bad_label.write_bytes(bytes(evil))
-    with pytest.raises(DomainError, match="exceeds"):
+    with pytest.raises(DomainError, match="out of range for 2 classes"):
         load_segmap(bad_label)
 
 

@@ -18,6 +18,7 @@ from partgraph import (
     EmbeddingConfig,
     LossWeights,
     NumericError,
+    ProbMap,
     SceneSpec,
     ToyNetConfig,
     generate_dataset,
@@ -26,7 +27,7 @@ from partgraph import (
     one_hot,
     train_toy,
 )
-from partgraph import condnet, losses
+from partgraph import adjacency, condnet, losses
 from partgraph.condnet import (
     _TRAIN_BLOCK,
     _forward,
@@ -34,7 +35,7 @@ from partgraph.condnet import (
     _train_step,
     _training_blocks,
 )
-from partgraph.adjacency import _gm_backward, _gm_forward
+from partgraph.adjacency import _graph_matching, gm_value, soft_adjacency
 from partgraph.losses import _block_loss, _cross_entropy_raw, _reconstruction_raw, reference_graph
 
 from oracles import mean_gm_loss_oracle, train_step_oracle, train_toy_oracle
@@ -258,7 +259,7 @@ def test_a_perfect_scene_beside_a_noisy_one_gets_no_gm_gradient():
     probs = perfect_and_noisy_block(mapping, scenes)
     targets = [(parts, objects, reference_graph(parts, mapping.num_parts, HARD))
                for _, parts, objects in scenes]
-    assert _gm_forward(probs, HARD, [ref for _, _, ref in targets])[1][0] == 0.0
+    assert _graph_matching(probs, HARD, [ref for _, _, ref in targets])[1][0] == 0.0
     (ce, rec, gm), grad = _block_loss(probs, targets, mapping, HARD, WEIGHTS)
     # the perfect scene's gradient is its cross-entropy and reconstruction terms alone
     _, no_gm = _block_loss(probs, targets, mapping, HARD, LossWeights(WEIGHTS.lambda1, 0.0))
@@ -287,7 +288,7 @@ def test_heldout_scoring_of_a_perfect_and_a_noisy_scene_matches_per_scene_loop(m
     got = mean_gm_loss(scenes, mapping, NET, params, HARD)
     assert got == want
     reference = reference_graph(scenes[1][1], mapping.num_parts, HARD)
-    noisy = _gm_forward(block[:, 1:], HARD, [reference])[1][0]
+    noisy = _graph_matching(block[:, 1:], HARD, [reference])[1][0]
     assert noisy > 0.0 and got == noisy / 2  # the perfect scene adds exactly 0
 
 
@@ -301,13 +302,22 @@ def _reconstruction_kernel(probs, scenes, mapping, cfg, grad):
 
 
 def _graph_matching_kernel(probs, scenes, mapping, cfg, grad):
-    # the backward returns its gradient in a buffer of the block's shape that the
-    # dilation owns (smooth-max's cached inv_open); added into the caller's buffer
-    # here, so that each scene's part is checked against its block of one
+    # graph matching returns its gradient in a buffer of the block's shape that the
+    # dilation owns (smooth-max's inv_open, in the state its forward returns); added
+    # into the caller's buffer here, so that each scene's part is checked against its
+    # block of one
     references = [reference_graph(parts, mapping.num_parts, cfg) for _, parts, _ in scenes]
-    _, _, cache = _gm_forward(probs, cfg, references)
-    state = cache["state"]
-    result = _gm_backward(cache, 0.3)
+    forward, states = adjacency.soft_dilate_forward, []
+
+    def capture_state(*args):
+        fields, state = forward(*args)
+        states.append(state)
+        return fields, state
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adjacency, "soft_dilate_forward", capture_state)
+        _, _, result = _graph_matching(probs, cfg, references, 0.3)
+    [state] = states
     assert result.shape == probs.shape
     if state[0] == "smooth_max":
         assert np.shares_memory(result, state[2])
@@ -335,3 +345,25 @@ def test_every_loss_kernel_adds_into_the_callers_buffer(kernel, cfg):
         kernel(probs[:, j:j + 1], scenes[j:j + 1], mapping, cfg, alone)
         assert np.any(alone != 0.0)
         assert np.array_equal(grad[:, j], before[:, j] + alone[:, 0])
+
+
+@pytest.mark.parametrize("cfg", [CFG, HARD], ids=["smooth_max", "hard_max"])
+def test_loss_only_callers_never_run_the_dilation_backward(monkeypatch, cfg):
+    scenes, mapping = scenes_of(16, 3)
+    params = init_toy_params(NET, mapping.num_parts, mapping.num_objects, seed=11)
+    images, objs, _ = _training_blocks(scenes, mapping, NET, cfg)[0]
+    probs = np.moveaxis(_forward(images, objs, NET, params)[0][:, 0], 0, 2)
+    reference = reference_graph(scenes[0][1], mapping.num_parts, cfg)
+
+    def outputs():
+        raw, normalized = soft_adjacency(ProbMap(probs), cfg)
+        return (gm_value(probs, reference, cfg), raw.entries.tolist(),
+                normalized.entries.tolist(), mean_gm_loss(scenes, mapping, NET, params, cfg))
+
+    want = outputs()
+
+    def no_backward(*args):
+        raise AssertionError("the dilation backward ran")
+
+    monkeypatch.setattr(adjacency, "soft_dilate_backward", no_backward)
+    assert outputs() == want
