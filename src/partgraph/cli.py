@@ -5,8 +5,9 @@ stdout (or ``--out``/``--trace`` files); diagnostics go to stderr. Exit
 codes: 0 success, 1 usage error, 2 data or format error (an input too
 large for memory included), 3 numeric failure.
 
-Identical invocations produce byte-identical output. ``--threads`` is
-accepted and ignored: every command runs on one thread.
+Identical invocations produce byte-identical output for a fixed BLAS thread
+count; paper-scale ``loss --json`` can differ in its last digits between thread
+counts. ``--threads`` is accepted and ignored.
 
 JSON configs (``train-toy --config``, ``synth --spec``) set only the keys
 they name; every other value is the default of its config class. A key that
@@ -18,14 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .adjacency import AdjacencyConfig, adjacency_from_labels, normalize_rows
-from .condnet import CONDITIONING_MODES, ToyNetConfig, _check_schedule, mean_gm_loss, train_toy
+from .condnet import CONDITIONING_MODES, ToyNetConfig, TrainRun, mean_gm_loss, train_toy
 from .core import LabelMap, LabelSet, argmax_map, one_hot
 from .errors import DomainError, NumericError
 from .formats import (
@@ -33,7 +34,6 @@ from .formats import (
     PROB_MAGIC,
     _config_fields,
     _load_json,
-    _typed,
     load_labelset,
     load_map,
     load_probmap,
@@ -102,6 +102,8 @@ _ADJACENCY_KEYS = {"T": "distance_threshold", "element": "element_shape",
 _NET_KEYS = {"stages": "num_stages", "encoder_channels": "encoder_channels",
              "decoder_channels": "decoder_channels", "conditioning": "conditioning",
              "embedding": "embedding"}
+_TRAIN_KEYS = {**_ADJACENCY_KEYS, "scene": "scene", "net": "net",
+               **{f.name: f.name for cls in (LossWeights, TrainRun) for f in fields(cls)}}
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +118,9 @@ def _cmd_dilate(args) -> int:
 
 
 def _adjacency_config(args, doc: dict | None = None) -> AdjacencyConfig:
-    """AdjacencyConfig from the train-toy JSON keys in ``doc`` and the flags given."""
+    """AdjacencyConfig from the train-toy JSON config ``doc`` and the flags given."""
     return AdjacencyConfig(**_config_fields(
-        AdjacencyConfig, doc or {}, "config", _ADJACENCY_KEYS,
+        AdjacencyConfig, doc or {}, "config", _TRAIN_KEYS,
         distance_threshold=args.T,
         element_shape=args.element,
         weighting="unweighted" if args.unweighted else None,
@@ -129,7 +131,7 @@ def _adjacency_config(args, doc: dict | None = None) -> AdjacencyConfig:
 
 
 def _loss_weights(args, doc: dict | None = None) -> LossWeights:
-    return LossWeights(**_config_fields(LossWeights, doc or {}, "config",
+    return LossWeights(**_config_fields(LossWeights, doc or {}, "config", _TRAIN_KEYS,
                                         lambda1=args.lambda1, lambda2=args.lambda2))
 
 
@@ -208,33 +210,17 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_train_toy(args) -> int:
     doc = _load_json(args.config, "train-toy config") if args.config else {}
-    run = {"steps": 200, "lr": 5e-3, "seed": 7, "train_scenes": 20, "heldout_scenes": 0}
-    weight_keys = ("lambda1", "lambda2")
-    known = {"scene", "net", *weight_keys, *_ADJACENCY_KEYS, *run}
-    for key in doc:
-        if key not in known:
-            raise DomainError(
-                f"unknown key {key!r} in config; expected one of {', '.join(sorted(known))}")
-        if key in run:
-            run[key] = _typed(doc[key], type(run[key]), f"config.{key}")
-    run.update((key, getattr(args, key)) for key in ("steps", "lr", "seed")
-               if getattr(args, key) is not None)
-    steps, lr, seed = run["steps"], run["lr"], run["seed"]
-    num_train, num_heldout = run["train_scenes"], run["heldout_scenes"]
-    for key, least in (("train_scenes", 1), ("heldout_scenes", 0)):
-        if run[key] < least:
-            raise DomainError(f"config.{key} must be >= {least}, got {run[key]}")
-
+    run = TrainRun(**_config_fields(TrainRun, doc, "config", _TRAIN_KEYS,
+                                    steps=args.steps, lr=args.lr, seed=args.seed))
     spec = SceneSpec(**_config_fields(SceneSpec, doc.get("scene", {}), "scene"))
     net = ToyNetConfig(**_config_fields(ToyNetConfig, doc.get("net", {}), "net", _NET_KEYS,
                                         conditioning=args.conditioning))
-    cfg = _adjacency_config(args, {k: v for k, v in doc.items() if k in _ADJACENCY_KEYS})
-    weights = _loss_weights(args, {k: v for k, v in doc.items() if k in weight_keys})
+    cfg = _adjacency_config(args, doc)
+    weights = _loss_weights(args, doc)
 
-    _check_schedule(steps, lr)  # before the scenes are built
-    scenes, mapping = generate_dataset(spec, num_train + num_heldout)
-    train_scenes, heldout = scenes[:num_train], scenes[num_train:]
-    params, trace = train_toy(train_scenes, mapping, net, weights, cfg, steps, lr, seed=seed)
+    scenes, mapping = generate_dataset(spec, run.train_scenes + run.heldout_scenes)
+    params, trace = train_toy(scenes[:run.train_scenes], mapping, net, weights, cfg, run.steps,
+                              run.lr, seed=run.seed)
 
     if args.trace:
         rows = [["step", *asdict(trace[0])]]
@@ -244,16 +230,16 @@ def _cmd_train_toy(args) -> int:
         save_params(params, args.params)
 
     summary = {
-        "steps": steps,
-        "scenes": num_train,
+        "steps": run.steps,
+        "scenes": run.train_scenes,
         "initial_total": trace[0].total,
         "final_total": trace[-1].total,
         "final_ce": trace[-1].ce,
         "final_rec": trace[-1].rec,
         "final_gm": trace[-1].gm,
     }
-    if heldout:
-        summary["heldout_gm"] = mean_gm_loss(heldout, mapping, net, params, cfg)
+    if run.heldout_scenes:
+        summary["heldout_gm"] = mean_gm_loss(scenes[run.train_scenes:], mapping, net, params, cfg)
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     return 0
 
@@ -294,7 +280,7 @@ def build_parser() -> _Parser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="accepted and ignored (every command runs on one thread)")
+                        help="accepted and ignored (BLAS uses the environment's thread count)")
 
     def add_adjacency_flags(p, background: bool):
         p.add_argument("--T", type=int, default=None, help="distance threshold in pixels")
@@ -376,7 +362,8 @@ def main(argv=None) -> int:
         sys.stderr.write("partgraph: error: a subcommand is required\n")
         return 1
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # every non-finite result is checked explicitly
+            return args.func(args)
     except (DomainError, OSError, MemoryError, NumericError) as exc:
         sys.stderr.write(f"partgraph {args.command}: {str(exc) or 'out of memory'}\n")
         return 3 if isinstance(exc, NumericError) else 2

@@ -260,6 +260,26 @@ class ToyNetConfig:
         return False
 
 
+@dataclass(frozen=True)
+class TrainRun:
+    """Schedule and scene counts of a ``train-toy`` run, checked when built."""
+
+    steps: int = 200
+    lr: float = 5e-3
+    seed: int = 7
+    train_scenes: int = 20
+    heldout_scenes: int = 0
+
+    def __post_init__(self):
+        for key, least in (("train_scenes", 1), ("heldout_scenes", 0)):
+            if getattr(self, key) < least:
+                raise DomainError(f"config.{key} must be >= {least}, got {getattr(self, key)}")
+        if self.steps < 1:
+            raise DomainError(f"steps must be >= 1, got {self.steps}")
+        if not (np.isfinite(self.lr) and self.lr >= 0.0):
+            raise DomainError(f"learning rate must be finite and >= 0, got {self.lr}")
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
@@ -510,14 +530,6 @@ def _train_step(blocks, mapping: PartsToObjectsMapping, net: ToyNetConfig,
     return sums, grad_acc
 
 
-def _check_schedule(steps: int, lr: float) -> None:
-    """The step count and learning rate :func:`train_toy` accepts."""
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    if not (np.isfinite(lr) and lr >= 0.0):
-        raise DomainError(f"learning rate must be finite and >= 0, got {lr}")
-
-
 def train_toy(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
               weights: LossWeights, adj_cfg: AdjacencyConfig, steps: int, lr: float,
               seed: int | None = None):
@@ -532,7 +544,7 @@ def train_toy(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
     equal size; stacking them, their object one-hots and their reference
     graphs is done once, before the first step.
     """
-    _check_schedule(steps, lr)
+    TrainRun(steps=steps, lr=lr)
     if not scenes:
         raise DomainError("need at least one training scene")
     params = init_toy_params(net, mapping.num_parts, mapping.num_objects, seed=seed)

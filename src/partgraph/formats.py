@@ -111,9 +111,9 @@ def _config_fields(cls, doc, where: str, keys: dict[str, str] | None = None,
     JSON object ``doc``, then every flag that is not None. Fields named by
     neither keep the class default.
 
-    ``keys`` maps the accepted JSON keys to field names (default: every field
-    under its own name). An unknown key, a wrongly typed value or a missing
-    field without a default is a DomainError that names it.
+    ``keys`` maps the accepted JSON keys to fields of ``cls`` or of other configs
+    (default: each field under its own name). An unknown key, a wrongly typed
+    value or a missing field without a default is a DomainError that names it.
     """
     if not isinstance(doc, dict):
         raise DomainError(f"{where} must be an object, got {json.dumps(doc)}")
@@ -124,7 +124,8 @@ def _config_fields(cls, doc, where: str, keys: dict[str, str] | None = None,
         if key not in keys:
             raise DomainError(
                 f"unknown key {key!r} in {where}; expected one of {', '.join(sorted(keys))}")
-        fields[keys[key]] = _typed(value, hints[keys[key]], f"{where}.{key}")
+        if keys[key] in hints:
+            fields[keys[key]] = _typed(value, hints[keys[key]], f"{where}.{key}")
     fields.update((name, value) for name, value in flags.items() if value is not None)
     for f in dataclasses.fields(cls):
         if f.name not in fields and f.default is f.default_factory is dataclasses.MISSING:

@@ -389,6 +389,16 @@ def test_train_toy_rejects_non_finite_values(tmp_path, flags, config, needles):
     assert_one_line_data_error(result, *needles)
 
 
+def test_train_toy_overflow_is_one_line_with_exit_3(tmp_path):
+    # numpy's overflow warnings would precede the diagnostic on stderr
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scene": {**SMALL_SCENE, "width": 16, "height": 16},
+                                    "train_scenes": 2}))
+    result = run_cli("train-toy", "--config", str(cfg_path), "--steps", "2", "--lr", "1e300")
+    assert (result.returncode, result.stdout) == (3, b"")
+    assert result.stderr == b"partgraph train-toy: non-finite activations at step 1\n"
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--lr", "nan", "learning rate must be finite and >= 0, got nan"),
     ("--steps", "0", "steps must be >= 1, got 0"),
@@ -642,6 +652,31 @@ def test_train_toy_config_rejects_unknown_or_mistyped_keys(tmp_path, config, nee
     cfg_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
     result = run_cli("train-toy", "--config", str(cfg_path), "--steps", "1")
     assert_one_line_data_error(result, *needles)
+
+
+def test_train_toy_unknown_key_names_every_accepted_key(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"bogus": 1}))
+    assert cli.main(["train-toy", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr() == (
+        "", "partgraph train-toy: unknown key 'bogus' in config; expected one of T, beta, "
+            "element, heldout_scenes, lambda1, lambda2, lr, net, scene, seed, soft_mode, steps, "
+            "train_scenes, weighting\n")
+
+
+def test_train_toy_and_graph_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    parts, _, _, _ = generate(SceneSpec(width=64, height=64, seed=4))
+    save_map(parts, tmp_path / "parts.segmap")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        trace = tmp_path / f"trace{threads}.csv"
+        train = run_cli("train-toy", "--steps", "5", "--trace", str(trace), env=env)
+        graph = run_cli("graph", "--in", str(tmp_path / "parts.segmap"), "--parts", "7",
+                        "--normalized", env=env)
+        assert train.returncode == graph.returncode == 0
+        outputs.append((train.stdout, trace.read_bytes(), graph.stdout))
+    assert outputs[0] == outputs[1]
 
 
 def test_config_fields_fill_only_the_keys_present_and_flags_win():

@@ -12,12 +12,14 @@ from partgraph import (
     ProbMap,
     ToyNetConfig,
     init_toy_params,
+    mean_gm_loss,
     one_hot,
     project_labels,
     toy_forward,
     train_toy,
 )
 from partgraph.condnet import (
+    TrainRun,
     _chain_forward,
     _conv_backward,
     _conv_forward,
@@ -421,6 +423,29 @@ def test_loss_weights_and_learning_rate_must_be_finite_and_nonnegative(value):
     with pytest.raises(DomainError, match="learning rate must be finite and >= 0"):
         train_toy(scenes, MAPPING, small_net(), LossWeights(), AdjacencyConfig(), steps=1,
                   lr=value)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"steps": 0}, "steps must be >= 1, got 0"),
+    ({"lr": float("nan")}, "learning rate must be finite and >= 0, got nan"),
+    ({"lr": float("inf")}, "learning rate must be finite and >= 0, got inf"),
+    ({"lr": -1.0}, "learning rate must be finite and >= 0, got -1.0"),
+    ({"train_scenes": 0}, "config.train_scenes must be >= 1, got 0"),
+    ({"heldout_scenes": -1}, "config.heldout_scenes must be >= 0, got -1"),
+], ids=["steps-0", "lr-nan", "lr-inf", "lr-negative", "train-0", "heldout-negative"])
+def test_train_run_rejects_bad_schedules_and_scene_counts(fields, message):
+    with pytest.raises(DomainError) as info:
+        TrainRun(**fields)
+    assert str(info.value) == message
+
+
+def test_mean_gm_loss_rejects_non_finite_activations():
+    net = small_net()
+    params = init_toy_params(net, MAPPING.num_parts, MAPPING.num_objects)
+    params["head.b"] = np.full_like(params["head.b"], np.nan)
+    scenes = [random_scene(np.random.default_rng(12))]
+    with pytest.raises(NumericError, match="^non-finite activations on held-out scenes$"):
+        mean_gm_loss(scenes, MAPPING, net, params, AdjacencyConfig())
 
 
 def test_config_validation():
