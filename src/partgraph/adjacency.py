@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelMap, ProbMap, _check_fits, _freeze
+from .core import LabelMap, ProbMap, _check_fits, _check_square_fits, _freeze
 from .errors import DomainError
 from .morphology import (
     StructuringElement,
@@ -150,6 +150,7 @@ def adjacency_from_labels(label_map: LabelMap, num_parts: int,
     """Raw-count adjacency matrix of a discrete label map."""
     if num_parts < 1:
         raise DomainError(f"num_parts must be >= 1, got {num_parts}")
+    _check_square_fits(num_parts)
     _check_fits(label_map, num_parts)
     labels = label_map.labels
 

@@ -72,6 +72,12 @@ def _check_labels_below(labels: np.ndarray, num_classes: int) -> None:
         )
 
 
+def _check_square_fits(num_classes: int) -> None:
+    """A ``num_classes`` x ``num_classes`` matrix of 8-byte entries fits in the address space."""
+    if 8 * int(num_classes) ** 2 > np.iinfo(np.intp).max:
+        raise DomainError(f"{num_classes} classes need a matrix larger than the address space")
+
+
 def _check_fits(label_map: LabelMap, num_classes: int) -> None:
     """Labels below ``num_classes``, which the map's declared class count, if any, must equal."""
     if label_map.num_classes not in (None, num_classes):

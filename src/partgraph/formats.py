@@ -337,11 +337,15 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
         (count,) = _read_header(f, TPRM_MAGIC, "I")
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            name = _read_exact(f, name_len, "name").decode("utf-8")
+            try:
+                name = _read_exact(f, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DomainError(f"parameter name is not UTF-8: {exc}") from exc
+            if name in params:
+                raise DomainError(f"duplicate parameter name {name!r}")
             (ndim,) = struct.unpack("<B", _read_exact(f, 1, "ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "shape"))
-            size = math.prod(shape)  # exact: np.prod wraps at int64
-            data = _read_exact(f, 4 * size, f"data for {name}")
+            data = _read_exact(f, 4 * math.prod(shape), f"data for {name}")  # exact, unlike np.prod
             params[name] = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
     return params
 

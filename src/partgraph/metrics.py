@@ -24,7 +24,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import LabelMap, LabelSet, _check_labels_below, _check_same_size, _freeze
+from .core import (LabelMap, LabelSet, _check_labels_below, _check_same_size, _check_square_fits,
+                   _freeze)
 from .errors import DomainError
 
 
@@ -61,6 +62,7 @@ class ConfusionMatrix:
 
 def confusion(pred: LabelMap, gt: LabelMap, num_classes: int) -> ConfusionMatrix:
     """Confusion matrix of one prediction/ground-truth pair."""
+    _check_square_fits(num_classes)
     _check_same_size(pred, gt)
     for labels in (pred.labels, gt.labels):
         _check_labels_below(labels, num_classes)

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import SUM_TOL
 from .errors import DomainError
 
 ELEMENT_SHAPES = ("square", "diamond")
@@ -171,7 +172,7 @@ def soft_dilate_forward(stack: np.ndarray, elem: StructuringElement,
     if x.ndim < 2 or x.size == 0:
         raise DomainError(f"expected nonempty (..., H, W) fields, got shape {x.shape}")
     # written so that NaN fails it: np.maximum would carry NaN through hard_max
-    if not (x.min() >= 0.0 and x.max() <= 1.0 + 1e-6):
+    if not (x.min() >= 0.0 and x.max() <= 1.0 + SUM_TOL):
         raise DomainError("soft dilation expects values in [0, 1]")
     check_soft_mode(mode)
     fields = x.reshape((-1,) + x.shape[-2:])

@@ -22,8 +22,10 @@ from partgraph import (
     PartsToObjectsMapping,
     ProbMap,
     adjacency_from_labels,
+    argmax_map,
     confusion,
     load_labelset,
+    load_probmap,
     normalize_rows,
     one_hot,
     project_labels,
@@ -42,7 +44,7 @@ from partgraph.cli import (
     build_parser,
 )
 from partgraph.formats import load_params, load_segmap
-from partgraph.synth import SceneSpec, generate
+from partgraph.synth import SceneSpec, generate, generate_dataset
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -507,6 +509,18 @@ def test_synth_command_writes_triples(tmp_path):
     assert load_segmap(out_dir / "scene_0001.parts.segmap").labels.any()
 
 
+def test_synth_writes_the_scenes_of_generate_dataset(tmp_path):
+    # _cmd_synth and generate_dataset each give scene i the seed spec.seed + i
+    result = run_cli("synth", "--out-dir", str(tmp_path), "--count", "3", "--seed", "5")
+    assert result.returncode == 0, result.stderr
+    scenes, _ = generate_dataset(SceneSpec(seed=5), 3)
+    for i, (_, parts, objects) in enumerate(scenes):
+        stem = tmp_path / f"scene_{i:04d}"
+        assert np.array_equal(load_segmap(f"{stem}.parts.segmap").labels, parts.labels)
+        written = argmax_map(load_probmap(f"{stem}.objects.probmap")).labels
+        assert np.array_equal(written, objects.labels)
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_synth_count_below_one_is_a_data_error(tmp_path, count):
     out_dir = tmp_path / "scenes"
@@ -754,6 +768,23 @@ def test_segm_header_declaring_more_than_the_file_holds(tmp_path):
     result = run_cli("graph", "--in", str(path), "--parts", "3",
                      preexec_fn=_limit_address_space, timeout=60)
     assert_one_line_data_error(result, "truncated", "20000000000")
+
+
+# 2**30 classes or more: an n x n matrix of 8-byte entries has more bytes than
+# the address space holds, so these fail before anything is allocated
+@pytest.mark.parametrize("count", [1_100_000_000, 10**12])
+def test_metrics_class_count_beyond_the_address_space_is_a_data_error(tmp_path, count):
+    (tmp_path / "labelset.json").write_text(json.dumps({"boundaries": [0, 1, 3, 5, count]}))
+    result = run_cli(*metrics_csv_argv(tmp_path), preexec_fn=_limit_address_space, timeout=60)
+    assert_one_line_data_error(result, f"{count} classes", "address space")
+
+
+def test_graph_class_count_beyond_the_address_space_is_a_data_error(tmp_path):
+    path = tmp_path / "big.segmap"
+    path.write_bytes(b"SEGM" + struct.pack("<BIII", 1, 8, 8, 4294967295) + bytes(2 * 64))
+    result = run_cli("graph", "--in", str(path), "--parts", "4294967295",
+                     preexec_fn=_limit_address_space, timeout=60)
+    assert_one_line_data_error(result, "4294967295 classes", "address space")
 
 
 @pytest.mark.parametrize("command", ["train-toy", "synth"])

@@ -21,8 +21,6 @@ from partgraph import (
 from partgraph.condnet import (
     TrainRun,
     _chain_forward,
-    _conv_backward,
-    _conv_forward,
     _toy_forward_cached,
     as_tensor,
     conv2d_backward,
@@ -134,13 +132,13 @@ def test_conv_kernels_match_the_tap_loop_oracle(kernel, stride, size, lead, inpu
     x = rng.random((2,) + lead + size) + 0.5
     weights = rng.random((4, 2, kernel, kernel)) + 0.5
     bias = rng.random(4)
-    out = _conv_forward(x, weights, bias, stride)
+    out = conv2d_forward(x, weights, bias, stride)
     want = conv_forward_oracle(x, weights, bias, stride)
     assert out.shape == want.shape == (4,) + lead + tuple(-(-n // stride) for n in size)
     np.testing.assert_allclose(out, want, rtol=1e-12, atol=0.0)
 
     grad_out = rng.random(out.shape) + 0.5
-    got = _conv_backward(x, weights, grad_out, stride, input_grad=input_grad)
+    got = conv2d_backward(x, weights, grad_out, stride, input_grad=input_grad)
     want = conv_backward_oracle(x, weights, grad_out, stride, input_grad=input_grad)
     if input_grad:
         assert got[0].shape == x.shape
@@ -161,7 +159,7 @@ def test_conv_kernels_match_the_tap_loop_oracle(kernel, stride, size, lead, inpu
      "stride"),
     (lambda: conv2d_backward(np.ones((3, 8, 8)), np.ones((4, 3, 3, 3)), np.ones((4, 8, 8)),
                              stride=0), "stride"),
-    (lambda: _conv_forward(np.ones((3, 2, 8, 8)), np.ones((4, 2, 3, 3)), None), "input"),
+    (lambda: conv2d_forward(np.ones((3, 2, 8, 8)), np.ones((4, 2, 3, 3)), None), "input"),
 ], ids=["backward-channels", "forward-bias", "forward-weights", "forward-stride",
         "backward-stride", "block-channels"])
 def test_conv_entries_reject_mismatched_operands(call, match):

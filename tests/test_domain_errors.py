@@ -29,7 +29,7 @@ from partgraph import (
     train_toy,
 )
 from partgraph.adjacency import gm_value
-from partgraph.condnet import _conv_backward, conv2d_forward
+from partgraph.condnet import _conv_backward
 from partgraph.formats import load_pgm, load_segmap, save_pgm, save_segmap
 from partgraph.synth import SceneSpec, generate, generate_dataset
 from test_cli import run_cli
@@ -64,8 +64,6 @@ CASES = [
     case("conv gradient shape", "grad shape",
          lambda _: _conv_backward(np.zeros((2, 5, 5)), np.zeros((3, 2, 3, 3)),
                                   np.zeros((3, 4, 5)))),
-    case("conv 4-D input", "(C, H, W) tensor",
-         lambda _: conv2d_forward(np.zeros((2, 1, 5, 5)), np.zeros((3, 2, 3, 3)))),
     case("embedding unequal plans", "equal length", lambda _: EmbeddingConfig((3, 3), (4,))),
     case("embedding channels 0", "embedding channel counts must be >= 1, got (0, 16)",
          lambda _: EmbeddingConfig((7, 5), (0, 16))),

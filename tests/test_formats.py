@@ -294,6 +294,24 @@ def test_params_round_trip(tmp_path):
     assert path.read_bytes()[:4] == b"TPRM"
 
 
+def tprm_entry(name: bytes) -> bytes:
+    """One TPRM entry: ``name`` as given, then a 1-element array of 1.0."""
+    return (struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, 1)
+            + struct.pack("<f", 1.0))
+
+
+@pytest.mark.parametrize("entries,match", [
+    ([b"w\xff"], "parameter name is not UTF-8"),
+    ([b"w", b"w"], "duplicate parameter name 'w'"),
+], ids=["non-utf8-name", "duplicate-name"])
+def test_params_file_that_save_params_cannot_write_is_a_domain_error(tmp_path, entries, match):
+    path = tmp_path / "bad.tprm"
+    path.write_bytes(b"TPRM" + struct.pack("<BI", 1, len(entries))
+                     + b"".join(tprm_entry(name) for name in entries))
+    with pytest.raises(DomainError, match=match):
+        load_params(path)
+
+
 def test_ppm_dump(tmp_path):
     rgb = np.zeros((3, 2, 2))
     rgb[0, 0, 0] = 1.0
