@@ -35,12 +35,13 @@ Given a seed, runs are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adjacency import AdjacencyConfig, _graph_matching
-from .core import PartsToObjectsMapping, ProbMap, one_hot
+from .core import PartsToObjectsMapping, ProbMap, _check_entries_fit, one_hot
 from .errors import DomainError, NumericError
 from .losses import LossReport, LossWeights, _block_loss, reference_graph
 from .losses import total_loss  # noqa: F401  (bench/run.py --trace 1 patches this name here)
@@ -299,7 +300,8 @@ def init_toy_params(net: ToyNetConfig, num_parts: int, num_objects: int,
                     seed: int | None = None) -> dict[str, np.ndarray]:
     """Seeded weight initialization: uniform in +-1/sqrt(fan_in), zero biases."""
     shapes = _conv_shapes(net, num_parts, num_objects)
-    sizes = [int(np.prod(shape)) for _, shape in shapes]
+    sizes = [math.prod(shape) for _, shape in shapes]
+    _check_entries_fit(sum(sizes), f"a network of {sum(sizes)} weights needs a parameter vector")
     u = Xorshift64Star(net.seed if seed is None else seed).uniform_array(sum(sizes))
     params: dict[str, np.ndarray] = {}
     for (name, shape), draws in zip(shapes, np.split(u, np.cumsum(sizes)[:-1])):

@@ -72,10 +72,15 @@ def _check_labels_below(labels: np.ndarray, num_classes: int) -> None:
         )
 
 
+def _check_entries_fit(entries: int, what: str) -> None:
+    """``entries`` 8-byte values fit in the address space; ``what`` names the array if not."""
+    if 8 * int(entries) > np.iinfo(np.intp).max:
+        raise DomainError(f"{what} larger than the address space")
+
+
 def _check_square_fits(num_classes: int) -> None:
     """A ``num_classes`` x ``num_classes`` matrix of 8-byte entries fits in the address space."""
-    if 8 * int(num_classes) ** 2 > np.iinfo(np.intp).max:
-        raise DomainError(f"{num_classes} classes need a matrix larger than the address space")
+    _check_entries_fit(int(num_classes) ** 2, f"{num_classes} classes need a matrix")
 
 
 def _check_fits(label_map: LabelMap, num_classes: int) -> None:

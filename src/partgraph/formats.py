@@ -16,8 +16,8 @@ maxval is num_classes - 1 (at least 1), and samples wider than 255 use the
 two-byte big-endian encoding netpbm prescribes.
 
 JSON inputs (label sets, ``train-toy --config``, ``synth --spec``) each hold
-one object, whose keys are typed by the dataclass fields they set; a bad one
-is a one-line DomainError that names it, as ``label-set.boundaries[0]``.
+one object, whose keys are typed by the dataclass fields they set; a bad or
+repeated key is a one-line DomainError naming it, as ``label-set.boundaries[0]``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import re
 import stat
 import struct
 import typing
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +69,14 @@ def _read_header(f, magic: bytes, layout: str) -> list:
 
 
 def _load_json(path: str | Path, what: str) -> dict:
-    """The JSON object in ``path``; anything else is a DomainError naming ``what``."""
+    """The JSON object in ``path``, no key repeated; anything else is a DomainError on ``what``."""
+    def unique_keys(pairs: list) -> dict:
+        counts = Counter(key for key, _ in pairs)
+        if len(counts) < len(pairs):
+            raise DomainError(f"{what} in {path} repeats the key {counts.most_common(1)[0][0]!r}")
+        return dict(pairs)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DomainError(f"malformed {what} JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):

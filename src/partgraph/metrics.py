@@ -11,11 +11,13 @@ Definitions (TP/FP/FN per class from the confusion matrix):
 - per-object mIoU = mean IoU over the parts of one object class
 - object average  = mean of the per-object mIoUs
 
-Empty-class policy: classes with zero ground-truth AND zero predicted pixels
-are excluded from the mIoU/mCA means; classes with ground truth but no
-predictions score 0. The headline ``miou`` averages every class (background
-included, matching the usual benchmark tables); when the label set declares
-class 0 as background, a background-free variant is reported alongside it.
+Empty-class policy: a class with zero ground-truth AND zero predicted pixels
+has no IoU (and one without ground truth no PA): it is NaN, and every mean
+skips it. A class with ground truth but no predictions scores 0. A mean over
+no defined value is NaN too. The headline ``miou`` averages every class
+(background included, matching the usual benchmark tables); when the label
+set declares class 0 as background, a background-free variant is reported
+alongside it, which is NaN when no class but background occurs.
 """
 
 from __future__ import annotations
@@ -94,6 +96,16 @@ class MetricReport:
         return {field.name: clean(getattr(self, field.name)) for field in fields(self)}
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` per class, NaN where ``den`` is 0: the class is undefined."""
+    return np.divide(num, den, out=np.full(num.shape, np.nan), where=den > 0)
+
+
+def _mean(values: np.ndarray) -> float:
+    """The mean of the defined (non-NaN) values; NaN, and no warning, when none is."""
+    return float("nan") if np.isnan(values).all() else float(np.nanmean(values))
+
+
 def report(cm: ConfusionMatrix, label_set: LabelSet) -> MetricReport:
     """Evaluate all metrics of a confusion matrix accumulated over a split."""
     if cm.size != label_set.num_parts:
@@ -106,42 +118,21 @@ def report(cm: ConfusionMatrix, label_set: LabelSet) -> MetricReport:
     counts = cm.counts.astype(np.float64)
     tp = np.diag(counts)
     gt_total = counts.sum(axis=1)
-    pred_total = counts.sum(axis=0)
-    union = gt_total + pred_total - tp
-    present = union > 0  # the empty-class policy: absent from both sides -> skipped
-
-    iou = np.full(cm.size, np.nan)
-    iou[present] = tp[present] / union[present]
-    pa = np.full(cm.size, np.nan)
-    has_gt = gt_total > 0
-    pa[has_gt] = tp[has_gt] / gt_total[has_gt]
-
-    mpa = float(tp.sum() / counts.sum())
-    mca = float(np.nanmean(pa)) if np.any(has_gt) else float("nan")
-
-    miou_with = float(np.nanmean(iou)) if np.any(present) else float("nan")
-    if label_set.background_is_class_zero and np.any(present[1:]):
-        miou_without = float(np.nanmean(iou[1:]))
-    else:
-        # no background class declared, so there is nothing to exclude
-        miou_without = miou_with
-
-    mapping = label_set.mapping
-    per_object = np.full(mapping.num_objects, np.nan)
-    for obj in range(mapping.num_objects):
-        part_iou = iou[mapping.boundaries[obj] : mapping.boundaries[obj + 1]]
-        if np.any(np.isfinite(part_iou)):
-            per_object[obj] = np.nanmean(part_iou)
-    object_avg = float(np.nanmean(per_object)) if np.any(np.isfinite(per_object)) else float("nan")
-
+    iou = _ratio(tp, gt_total + counts.sum(axis=0) - tp)
+    pa = _ratio(tp, gt_total)
+    miou_with = _mean(iou)
+    # without a declared background class there is nothing to exclude
+    miou_without = _mean(iou[1:]) if label_set.background_is_class_zero else miou_with
+    bounds = label_set.mapping.boundaries
+    per_object = np.array([_mean(iou[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
     return MetricReport(
         per_class_iou=iou,
         per_class_pa=pa,
         miou=miou_with,
-        mpa=mpa,
-        mca=mca,
+        mpa=float(tp.sum() / counts.sum()),
+        mca=_mean(pa),
         per_object_miou=per_object,
-        object_avg=object_avg,
+        object_avg=_mean(per_object),
         miou_with_background=miou_with,
         miou_without_background=miou_without,
     )

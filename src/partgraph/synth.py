@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LabelMap, PartsToObjectsMapping, project_labels
+from .core import LabelMap, PartsToObjectsMapping, _check_entries_fit, project_labels
 from .errors import DomainError
 from .rng import Xorshift64Star
 
@@ -50,6 +50,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.width < 8 or self.height < 8:
             raise DomainError(f"canvas must be at least 8x8, got {self.width}x{self.height}")
+        _check_entries_fit(3 * self.width * self.height,
+                           f"a {self.width}x{self.height} canvas needs an RGB image")
         if self.num_objects < 1:
             raise DomainError("need at least one object")
         if len(self.parts_per_object) != self.num_objects:

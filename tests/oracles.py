@@ -148,6 +148,39 @@ def confusion_oracle(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.n
     return counts
 
 
+def _defined_mean(values) -> float:
+    """Mean of the values that are not NaN, summed left to right; NaN if there are none."""
+    defined = [v for v in values if v == v]
+    return sum(defined) / len(defined) if defined else float("nan")
+
+
+def report_oracle(counts, boundaries, background: bool) -> dict:
+    """Every ``metrics.report`` field, by the module's definitions, from a nested list
+    of integer counts (rows ground truth, columns prediction); NaN where undefined."""
+    n = len(counts)
+    iou, pa = [], []
+    for c in range(n):
+        tp = counts[c][c]
+        fn = sum(counts[c][j] for j in range(n)) - tp
+        fp = sum(counts[i][c] for i in range(n)) - tp
+        iou.append(tp / (tp + fp + fn) if tp + fp + fn else float("nan"))
+        pa.append(tp / (tp + fn) if tp + fn else float("nan"))
+    per_object = [_defined_mean(iou[boundaries[j]:boundaries[j + 1]])
+                  for j in range(len(boundaries) - 1)]
+    miou = _defined_mean(iou)
+    return {
+        "per_class_iou": iou,
+        "per_class_pa": pa,
+        "miou": miou,
+        "mpa": sum(counts[c][c] for c in range(n)) / sum(sum(row) for row in counts),
+        "mca": _defined_mean(pa),
+        "per_object_miou": per_object,
+        "object_avg": _defined_mean(per_object),
+        "miou_with_background": miou,
+        "miou_without_background": _defined_mean(iou[1:]) if background else miou,
+    }
+
+
 def rel_err(a: float, b: float, floor: float = 1e-7) -> float:
     """Relative disagreement; values both below ``floor`` count as agreeing."""
     denom = max(abs(a), abs(b))

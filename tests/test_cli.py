@@ -738,14 +738,19 @@ def test_metrics_labelset_error_names_its_key(tmp_path, scene_files, labelset, n
     assert_one_line_data_error(result, *needles)
 
 
-@pytest.mark.parametrize("command, what", [
+# every entry point that reads a JSON object, with the name its diagnostics give that object
+JSON_COMMANDS = [
     (("train-toy", "--config", "{json}", "--steps", "1"), "train-toy config"),
     (("synth", "--spec", "{json}", "--out-dir", "{base}/out", "--count", "1"), "scene spec"),
     (("metrics", "--pred-dir", "{base}", "--gt-dir", "{base}", "--labelset", "{json}"),
      "label-set"),
     (("loss", "--pred", "{base}/pred.probmap", "--gt", "{base}/parts.segmap",
       "--mapping", "{json}"), "label-set"),
-], ids=["train-toy", "synth", "metrics", "loss"])
+]
+
+
+@pytest.mark.parametrize("command, what", JSON_COMMANDS,
+                         ids=["train-toy", "synth", "metrics", "loss"])
 def test_json_nested_too_deeply_is_a_data_error(tmp_path, scene_files, command, what):
     # deeper than the parser's recursion limit: one line, not a RecursionError traceback
     base, _, _ = scene_files
@@ -753,6 +758,23 @@ def test_json_nested_too_deeply_is_a_data_error(tmp_path, scene_files, command, 
     path.write_text("[" * 200_000)
     result = run_cli(*(arg.format(json=path, base=base) for arg in command))
     assert_one_line_data_error(result, f"malformed {what} JSON", "recursion")
+
+
+@pytest.mark.parametrize("command, what, doc, key", [
+    (*JSON_COMMANDS[0], '{"steps": 3, "steps": 5}', "steps"),
+    (*JSON_COMMANDS[0], '{"scene": {"seed": 1, "seed": 1}}', "seed"),
+    (*JSON_COMMANDS[1], '{"width": 16, "height": 16, "width": 24}', "width"),
+    (*JSON_COMMANDS[2], '{"boundaries": [0, 1, 3], "boundaries": [0, 1, 3]}', "boundaries"),
+    (*JSON_COMMANDS[3], '{"boundaries": [0, 1, 3], "background_is_class_zero": true, '
+                        '"background_is_class_zero": false}', "background_is_class_zero"),
+], ids=["train-toy", "train-toy-nested", "synth", "metrics", "loss"])
+def test_json_repeated_key_is_a_data_error(tmp_path, scene_files, command, what, doc, key):
+    # json.loads alone keeps the last value of a repeated key and says nothing
+    base, _, _ = scene_files
+    path = tmp_path / "repeated.json"
+    path.write_text(doc)
+    result = run_cli(*(arg.format(json=path, base=base) for arg in command))
+    assert_one_line_data_error(result, f"{what} in {path} repeats the key '{key}'")
 
 
 def _limit_address_space():
@@ -799,6 +821,40 @@ def test_canvas_too_large_for_memory_is_a_data_error(tmp_path, command):
         argv = ("synth", "--spec", str(path), "--out-dir", str(tmp_path / "out"), "--count", "1")
     result = run_cli(*argv, preexec_fn=_limit_address_space, timeout=60)
     assert_one_line_data_error(result, "allocate")
+
+
+# a (3, H, W) float64 image of more bytes than the address space holds: numpy
+# raises before allocating, so these must fail at the spec, not in generation
+@pytest.mark.parametrize("command, scene", [
+    ("train-toy", {"width": 4294967296, "height": 4294967296}),
+    ("train-toy", {"width": 10**30}),
+    ("synth", {"width": 10**30}),
+], ids=["train-toy-2^32", "train-toy-1e30", "synth-1e30"])
+def test_canvas_beyond_the_address_space_is_a_data_error(tmp_path, command, scene):
+    path = tmp_path / "config.json"
+    if command == "train-toy":
+        path.write_text(json.dumps({"scene": scene}))
+        argv = ("train-toy", "--config", str(path))
+    else:
+        path.write_text(json.dumps(scene))
+        argv = ("synth", "--spec", str(path), "--out-dir", str(tmp_path / "out"), "--count", "1")
+    result = run_cli(*argv, preexec_fn=_limit_address_space, timeout=60)
+    assert_one_line_data_error(result, f"a {scene['width']}x{scene.get('height', 32)} canvas",
+                               "address space")
+
+
+# int(np.prod(shape)) wraps the first to a negative count; the second is ~1.7e22
+# weights, whose jump-ahead tables would otherwise keep allocating
+@pytest.mark.parametrize("net", [
+    {"embedding": {"kernel_sizes": [1000000001, 5, 3, 3], "channel_sizes": [8, 16, 32, 64]}},
+    {"encoder_channels": [100000000000000000000, 16]},
+], ids=["kernel-1e9", "channels-1e20"])
+def test_parameters_beyond_the_address_space_are_a_data_error(tmp_path, net):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"net": net}))
+    result = run_cli("train-toy", "--config", str(path), preexec_fn=_limit_address_space,
+                     timeout=60)
+    assert_one_line_data_error(result, "weights", "address space")
 
 
 @pytest.mark.parametrize("threads", ["1", "8"])

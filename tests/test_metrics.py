@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from partgraph import (
     report,
 )
 
-from oracles import confusion_oracle
+from oracles import confusion_oracle, report_oracle
 
 LABEL_SET = LabelSet(PartsToObjectsMapping((0, 1, 3, 5)))
 
@@ -178,3 +180,59 @@ def test_empty_confusion_matrix_rejected():
         report(ConfusionMatrix(np.zeros((5, 5), dtype=np.int64)), LABEL_SET)
     with pytest.raises(DomainError):
         report(ConfusionMatrix(np.ones((3, 3), dtype=np.int64)), LABEL_SET)
+
+
+def _random_split(rng):
+    """A random label set, with or without background, a confusion matrix over it and
+    its kind: only class 0 occurs, no part of one object occurs, or a general split."""
+    background = bool(rng.integers(2))
+    sizes = rng.integers(1, 5, int(rng.integers(2, 6)))
+    if background:
+        sizes[0] = 1
+    bounds = (0, *np.cumsum(sizes).tolist())
+    n = bounds[-1]
+    counts = rng.integers(0, 5, (n, n)) * (rng.random((n, n)) < rng.random())
+    kind = ("class 0 only", "absent object", "general")[int(rng.integers(3))]
+    if kind == "class 0 only":
+        counts[:] = 0
+    elif kind == "absent object":
+        obj = int(rng.integers(1, len(sizes)))  # not object 0, whose class 0 may stand in
+        counts[bounds[obj]:bounds[obj + 1]] = 0
+        counts[:, bounds[obj]:bounds[obj + 1]] = 0
+    if counts.sum() == 0:
+        counts[0, 0] = int(rng.integers(1, 9))
+    label_set = LabelSet(PartsToObjectsMapping(bounds), background_is_class_zero=background)
+    return label_set, counts, kind
+
+
+def test_report_matches_its_definitions_on_random_splits():
+    rng = np.random.default_rng(28)
+    kinds, background_only = set(), 0
+    for _ in range(300):
+        label_set, counts, kind = _random_split(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice" on an undefined mean
+            got = report(ConfusionMatrix(counts), label_set).to_dict()
+        expected = report_oracle(counts.tolist(), label_set.mapping.boundaries,
+                                 label_set.background_is_class_zero)
+        assert list(got) == list(expected)
+        for key, value in got.items():
+            value = np.array(value, dtype=float)  # None, JSON's NaN, reads as nan
+            assert value.shape == np.shape(expected[key]), key
+            np.testing.assert_allclose(value, expected[key], rtol=0, atol=1e-15,
+                                       equal_nan=True, err_msg=key)
+        kinds.add(kind)
+        background_only += kind == "class 0 only" and label_set.background_is_class_zero
+    assert len(kinds) == 3 and background_only > 0
+
+
+def test_background_only_split_has_no_background_free_miou():
+    # only background occurs: the background-free mean is over no class at all
+    cm = ConfusionMatrix(np.diag([7, 0, 0, 0, 0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = report(cm, LABEL_SET)
+    assert result.miou_with_background == 1.0
+    assert np.isnan(result.miou_without_background)
+    assert result.to_dict()["miou_without_background"] is None
+    assert result.to_dict()["per_object_miou"] == [1.0, None, None]
