@@ -61,8 +61,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_result(text: str, out: str | None) -> None:
     """Write ``text`` as UTF-8 to ``out``, or to stdout, whatever the locale's encoding."""
-    if out:
-        Path(out).write_bytes(text.encode("utf-8"))
+    if out is not None:  # an empty path is an error, as for every other file
+        with open(out, "wb") as f:
+            f.write(text.encode("utf-8"))
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()  # text already written to stdout goes out first
         sys.stdout.buffer.write(text.encode("utf-8"))
@@ -222,11 +223,11 @@ def _cmd_train_toy(args) -> int:
     params, trace = train_toy(scenes[:run.train_scenes], mapping, net, weights, cfg, run.steps,
                               run.lr, seed=run.seed)
 
-    if args.trace:
+    if args.trace is not None:
         rows = [["step", *asdict(trace[0])]]
         rows += [[t, *asdict(rep).values()] for t, rep in enumerate(trace)]
         _write_result(_csv(rows), args.trace)
-    if args.params:
+    if args.params is not None:
         save_params(params, args.params)
 
     summary = {
@@ -247,6 +248,8 @@ def _cmd_train_toy(args) -> int:
 def _cmd_synth(args) -> int:
     if args.count < 1:
         raise DomainError(f"--count must be >= 1, got {args.count}")
+    if not args.out_dir:  # Path("") would be the current directory
+        raise DomainError("--out-dir must not be empty")
     doc = _load_json(args.spec, "scene spec") if args.spec else {}
     spec = SceneSpec(**_config_fields(SceneSpec, doc, "scene spec", seed=args.seed))
     out_dir = Path(args.out_dir)
@@ -270,17 +273,26 @@ def _cmd_synth(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
+_COMMANDS = ("dilate", "graph", "loss", "metrics", "train-toy", "synth")
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI parser, with only ``command``'s subparser if it names one; the same text either way."""
     parser = _Parser(prog="partgraph", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"partgraph {__version__} "
                                 f"(formats: SEGM v{FORMAT_VERSION}, PROB v{FORMAT_VERSION}, "
                                 f"TPRM v{FORMAT_VERSION})")
-    sub = parser.add_subparsers(dest="command")
+    names = (command,) if command in _COMMANDS else _COMMANDS
+    sub = parser.add_subparsers(dest="command",  # a one-command usage line lists every command
+                                metavar=None if names == _COMMANDS else "{%s}" % ",".join(_COMMANDS))
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="accepted and ignored (BLAS uses the environment's thread count)")
+    def add_command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--threads", type=int, default=1, metavar="N",
+                       help="accepted and ignored (BLAS uses the environment's thread count)")
+        p.set_defaults(func=func)
+        return p
 
     def add_adjacency_flags(p, background: bool):
         p.add_argument("--T", type=int, default=None, help="distance threshold in pixels")
@@ -295,67 +307,69 @@ def build_parser() -> _Parser:
         p.add_argument("--lambda1", type=float, default=None)
         p.add_argument("--lambda2", type=float, default=None)
 
-    p = sub.add_parser("dilate", parents=[common], help="dilate the nonzero pixels of a label map")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--shape", choices=ELEMENT_SHAPES, default="square")
-    p.set_defaults(func=_cmd_dilate)
+    if "dilate" in names:
+        p = add_command("dilate", _cmd_dilate, "dilate the nonzero pixels of a label map")
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--radius", type=int, required=True)
+        p.add_argument("--shape", choices=ELEMENT_SHAPES, default="square")
 
-    p = sub.add_parser("graph", parents=[common], help="part-adjacency matrix of a label map")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--parts", type=int, required=True)
-    add_adjacency_flags(p, background=True)
-    p.add_argument("--normalized", action="store_true", help="emit proximity ratios")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_graph)
+    if "graph" in names:
+        p = add_command("graph", _cmd_graph, "part-adjacency matrix of a label map")
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--parts", type=int, required=True)
+        add_adjacency_flags(p, background=True)
+        p.add_argument("--normalized", action="store_true", help="emit proximity ratios")
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("loss", parents=[common], help="evaluate the training losses")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gt", required=True)
-    p.add_argument("--gt-objects", dest="gt_objects", default=None)
-    p.add_argument("--mapping", required=True)
-    add_adjacency_flags(p, background=True)
-    add_soft_loss_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_loss)
+    if "loss" in names:
+        p = add_command("loss", _cmd_loss, "evaluate the training losses")
+        p.add_argument("--pred", required=True)
+        p.add_argument("--gt", required=True)
+        p.add_argument("--gt-objects", dest="gt_objects", default=None)
+        p.add_argument("--mapping", required=True)
+        add_adjacency_flags(p, background=True)
+        add_soft_loss_flags(p)
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("metrics", parents=[common], help="evaluate predictions against ground truth")
-    p.add_argument("--pred-dir", dest="pred_dir", required=True)
-    p.add_argument("--gt-dir", dest="gt_dir", required=True)
-    p.add_argument("--labelset", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", dest="format", action="store_const", const="json")
-    group.add_argument("--csv", dest="format", action="store_const", const="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(format="json", func=_cmd_metrics)
+    if "metrics" in names:
+        p = add_command("metrics", _cmd_metrics, "evaluate predictions against ground truth")
+        p.add_argument("--pred-dir", dest="pred_dir", required=True)
+        p.add_argument("--gt-dir", dest="gt_dir", required=True)
+        p.add_argument("--labelset", required=True)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--json", dest="format", action="store_const", const="json")
+        group.add_argument("--csv", dest="format", action="store_const", const="csv")
+        p.add_argument("--out", default=None)
+        p.set_defaults(format="json")
 
-    p = sub.add_parser("train-toy", parents=[common], help="gradient descent on synthetic scenes")
-    p.add_argument("--config", default=None, help="JSON config; flags win over its values")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--conditioning", choices=CONDITIONING_MODES, default=None)
-    add_adjacency_flags(p, background=False)
-    add_soft_loss_flags(p)
-    p.add_argument("--trace", default=None, help="write the per-step loss trace CSV here")
-    p.add_argument("--params", default=None, help="write the trained parameters here")
-    p.set_defaults(func=_cmd_train_toy)
+    if "train-toy" in names:
+        p = add_command("train-toy", _cmd_train_toy, "gradient descent on synthetic scenes")
+        p.add_argument("--config", default=None, help="JSON config; flags win over its values")
+        p.add_argument("--steps", type=int, default=None)
+        p.add_argument("--lr", type=float, default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--conditioning", choices=CONDITIONING_MODES, default=None)
+        add_adjacency_flags(p, background=False)
+        add_soft_loss_flags(p)
+        p.add_argument("--trace", default=None, help="write the per-step loss trace CSV here")
+        p.add_argument("--params", default=None, help="write the trained parameters here")
 
-    p = sub.add_parser("synth", parents=[common], help="generate synthetic scene files")
-    p.add_argument("--spec", default=None, help="scene spec JSON")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_synth)
+    if "synth" in names:
+        p = add_command("synth", _cmd_synth, "generate synthetic scene files")
+        p.add_argument("--spec", default=None, help="scene spec JSON")
+        p.add_argument("--out-dir", dest="out_dir", required=True)
+        p.add_argument("--count", type=int, required=True)
+        p.add_argument("--seed", type=int, default=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if getattr(args, "command", None) is None:
         parser.print_usage(sys.stderr)

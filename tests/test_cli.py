@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -112,6 +113,77 @@ def test_version_reports_format_versions():
     out = result.stdout.decode()
     assert "partgraph 0.1.0" in out
     assert "SEGM v1" in out and "PROB v1" in out and "TPRM v1" in out
+
+
+# per command, argvs that between them set every flag the command has
+EVERY_FLAG = {
+    "dilate": [("--threads", "2", "--in", "a", "--out", "b", "--radius", "3",
+                "--shape", "diamond")],
+    "graph": [("--threads", "2", "--in", "a", "--parts", "5", "--T", "3", "--element", "diamond",
+               "--unweighted", "--no-background", "--normalized", "--format", "json",
+               "--out", "o")],
+    "loss": [("--threads", "2", "--pred", "p", "--gt", "g", "--gt-objects", "go",
+              "--mapping", "m", "--no-background", "--json", "--out", "o", *SHARED_FLAGS)],
+    "metrics": [("--threads", "2", "--pred-dir", "p", "--gt-dir", "g", "--labelset", "l",
+                 "--csv", "--out", "o"),
+                ("--pred-dir", "p", "--gt-dir", "g", "--labelset", "l", "--json")],
+    "train-toy": [("--threads", "2", "--config", "c", "--steps", "4", "--lr", "0.1",
+                   "--seed", "7", "--conditioning", "single", "--trace", "t", "--params", "w",
+                   *SHARED_FLAGS)],
+    "synth": [("--threads", "2", "--spec", "s", "--out-dir", "d", "--count", "2",
+               "--seed", "3")],
+}
+
+
+def subcommands(parser) -> dict:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@pytest.mark.parametrize("command", list(EVERY_FLAG))
+def test_one_command_parser_parses_as_the_full_parser(command):
+    one, full = build_parser(command), build_parser()
+    assert list(subcommands(one)) == [command]
+    assert tuple(subcommands(full)) == cli._COMMANDS == tuple(EVERY_FLAG)
+    flags = {f for a in subcommands(full)[command]._actions for f in a.option_strings}
+    assert flags - {"-h", "--help"} <= {arg for argv in EVERY_FLAG[command] for arg in argv}
+    for argv in EVERY_FLAG[command]:
+        assert one.parse_args([command, *argv]) == full.parse_args([command, *argv])
+
+
+def run_main(argv):
+    """stdout, stderr and exit code of an in-process ``cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--version"], ["nope"], *([command, "--help"] for command in EVERY_FLAG),
+    ["graph", "--in", "x"], ["graph", "--in", "x", "--parts", "3", "--bogus"],
+    ["metrics", "--json", "--csv"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_usage_help_and_errors_are_those_of_the_full_parser(monkeypatch, argv):
+    one = run_main(argv)
+    full_parser = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert one == run_main(argv)
+    assert one[0] or one[1]
+
+
+def test_console_script_reads_its_arguments_from_sys_argv(monkeypatch, capsys, scene_files):
+    base, _, _ = scene_files
+    argv = ["graph", "--in", str(base / "parts.segmap"), "--parts", "3", "--normalized"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["partgraph", *argv])
+    assert cli.main() == 0
+    assert capsys.readouterr() == expected
+    assert expected.out.startswith("0,")
 
 
 @pytest.fixture()
@@ -326,6 +398,30 @@ def test_graph_missing_file_is_a_data_error(tmp_path):
     result = run_cli("graph", "--in", str(tmp_path / "missing.segmap"), "--parts", "3")
     assert result.returncode == 2
     assert b"missing.segmap" in result.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ("graph", "--in", "{base}/parts.segmap", "--parts", "3", "--out", ""),
+    ("loss", "--pred", "{base}/pred.probmap", "--gt", "{base}/parts.segmap",
+     "--mapping", "{base}/labelset.json", "--out", ""),
+    ("metrics", "--pred-dir", "{base}", "--gt-dir", "{base}", "--labelset", "{base}/labelset.json",
+     "--out", ""),
+    ("train-toy", "--config", "{base}/tiny.json", "--steps", "1", "--trace", ""),
+    ("train-toy", "--config", "{base}/tiny.json", "--steps", "1", "--params", ""),
+    ("synth", "--out-dir", "", "--count", "1"),
+], ids=["graph", "loss", "metrics", "train-toy-trace", "train-toy-params", "synth"])
+def test_empty_output_path_is_a_data_error(scene_files, command):
+    # an empty path names no file: not stdout, and not the current directory
+    base, _, _ = scene_files
+    (base / "tiny.json").write_text(json.dumps({"scene": {**SMALL_SCENE, "width": 16,
+                                                          "height": 16}, "train_scenes": 1}))
+    (base / "cwd").mkdir()
+    before = sorted(base.rglob("*"))
+    package_root = str(Path(cli.__file__).resolve().parents[1])  # PYTHONPATH may be relative
+    result = run_cli(*(arg.format(base=base) for arg in command), cwd=base / "cwd",
+                     env={"PYTHONPATH": package_root})
+    assert result.returncode == 2 and result.stdout == b"", result.stderr
+    assert sorted(base.rglob("*")) == before
 
 
 def test_loss_command_json(scene_files):
