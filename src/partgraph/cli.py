@@ -166,7 +166,7 @@ def _cmd_loss(args) -> int:
     pred = load_probmap(args.pred)
     gt_parts = load_map(args.gt)
     label_set = load_labelset(args.mapping)
-    gt_objects = _load_object_labels(args.gt_objects) if args.gt_objects else None
+    gt_objects = None if args.gt_objects is None else _load_object_labels(args.gt_objects)
     cfg = _adjacency_config(args)
     weights = _loss_weights(args)
     result, _ = total_loss(pred, gt_parts, gt_objects, label_set.mapping, cfg, weights)
@@ -210,7 +210,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
-    doc = _load_json(args.config, "train-toy config") if args.config else {}
+    doc = {} if args.config is None else _load_json(args.config, "train-toy config")
     run = TrainRun(**_config_fields(TrainRun, doc, "config", _TRAIN_KEYS,
                                     steps=args.steps, lr=args.lr, seed=args.seed))
     spec = SceneSpec(**_config_fields(SceneSpec, doc.get("scene", {}), "scene"))
@@ -248,9 +248,7 @@ def _cmd_train_toy(args) -> int:
 def _cmd_synth(args) -> int:
     if args.count < 1:
         raise DomainError(f"--count must be >= 1, got {args.count}")
-    if not args.out_dir:  # Path("") would be the current directory
-        raise DomainError("--out-dir must not be empty")
-    doc = _load_json(args.spec, "scene spec") if args.spec else {}
+    doc = {} if args.spec is None else _load_json(args.spec, "scene spec")
     spec = SceneSpec(**_config_fields(SceneSpec, doc, "scene spec", seed=args.seed))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -291,8 +289,11 @@ def build_parser(command: str | None = None) -> _Parser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--threads", type=int, default=1, metavar="N",
                        help="accepted and ignored (BLAS uses the environment's thread count)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, paths=[])
         return p
+
+    def add_path(p, flag, **kwargs):  # main rejects an empty file or directory name
+        p.get_default("paths").append((flag, p.add_argument(flag, **kwargs).dest))
 
     def add_adjacency_flags(p, background: bool):
         p.add_argument("--T", type=int, default=None, help="distance threshold in pixels")
@@ -309,58 +310,58 @@ def build_parser(command: str | None = None) -> _Parser:
 
     if "dilate" in names:
         p = add_command("dilate", _cmd_dilate, "dilate the nonzero pixels of a label map")
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--out", required=True)
+        add_path(p, "--in", dest="infile", required=True)
+        add_path(p, "--out", required=True)
         p.add_argument("--radius", type=int, required=True)
         p.add_argument("--shape", choices=ELEMENT_SHAPES, default="square")
 
     if "graph" in names:
         p = add_command("graph", _cmd_graph, "part-adjacency matrix of a label map")
-        p.add_argument("--in", dest="infile", required=True)
+        add_path(p, "--in", dest="infile", required=True)
         p.add_argument("--parts", type=int, required=True)
         add_adjacency_flags(p, background=True)
         p.add_argument("--normalized", action="store_true", help="emit proximity ratios")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", default=None)
+        add_path(p, "--out", default=None)
 
     if "loss" in names:
         p = add_command("loss", _cmd_loss, "evaluate the training losses")
-        p.add_argument("--pred", required=True)
-        p.add_argument("--gt", required=True)
-        p.add_argument("--gt-objects", dest="gt_objects", default=None)
-        p.add_argument("--mapping", required=True)
+        add_path(p, "--pred", required=True)
+        add_path(p, "--gt", required=True)
+        add_path(p, "--gt-objects", dest="gt_objects", default=None)
+        add_path(p, "--mapping", required=True)
         add_adjacency_flags(p, background=True)
         add_soft_loss_flags(p)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--out", default=None)
+        add_path(p, "--out", default=None)
 
     if "metrics" in names:
         p = add_command("metrics", _cmd_metrics, "evaluate predictions against ground truth")
-        p.add_argument("--pred-dir", dest="pred_dir", required=True)
-        p.add_argument("--gt-dir", dest="gt_dir", required=True)
-        p.add_argument("--labelset", required=True)
+        add_path(p, "--pred-dir", dest="pred_dir", required=True)
+        add_path(p, "--gt-dir", dest="gt_dir", required=True)
+        add_path(p, "--labelset", required=True)
         group = p.add_mutually_exclusive_group()
         group.add_argument("--json", dest="format", action="store_const", const="json")
         group.add_argument("--csv", dest="format", action="store_const", const="csv")
-        p.add_argument("--out", default=None)
+        add_path(p, "--out", default=None)
         p.set_defaults(format="json")
 
     if "train-toy" in names:
         p = add_command("train-toy", _cmd_train_toy, "gradient descent on synthetic scenes")
-        p.add_argument("--config", default=None, help="JSON config; flags win over its values")
+        add_path(p, "--config", default=None, help="JSON config; flags win over its values")
         p.add_argument("--steps", type=int, default=None)
         p.add_argument("--lr", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--conditioning", choices=CONDITIONING_MODES, default=None)
         add_adjacency_flags(p, background=False)
         add_soft_loss_flags(p)
-        p.add_argument("--trace", default=None, help="write the per-step loss trace CSV here")
-        p.add_argument("--params", default=None, help="write the trained parameters here")
+        add_path(p, "--trace", default=None, help="write the per-step loss trace CSV here")
+        add_path(p, "--params", default=None, help="write the trained parameters here")
 
     if "synth" in names:
         p = add_command("synth", _cmd_synth, "generate synthetic scene files")
-        p.add_argument("--spec", default=None, help="scene spec JSON")
-        p.add_argument("--out-dir", dest="out_dir", required=True)
+        add_path(p, "--spec", default=None, help="scene spec JSON")
+        add_path(p, "--out-dir", dest="out_dir", required=True)
         p.add_argument("--count", type=int, required=True)
         p.add_argument("--seed", type=int, default=None)
 
@@ -376,6 +377,9 @@ def main(argv=None) -> int:
         sys.stderr.write("partgraph: error: a subcommand is required\n")
         return 1
     try:
+        for flag, dest in args.paths:  # Path("") would be the current directory
+            if getattr(args, dest) == "":
+                raise DomainError(f"{flag} must not be empty")
         with np.errstate(all="ignore"):  # every non-finite result is checked explicitly
             return args.func(args)
     except (DomainError, OSError, MemoryError, NumericError) as exc:

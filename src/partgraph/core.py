@@ -235,7 +235,8 @@ def sum_probability(pred: ProbMap, mapping: PartsToObjectsMapping) -> ProbMap:
     """Collapse part-channel probabilities into object channels.
 
     Output channel j is the sum of the part channels owned by object j, so
-    per-pixel mass is preserved (fixed-order reassociation of the same sum).
+    per-pixel mass is preserved. One BLAS product adds them: in channel order for
+    objects of up to two parts, and for larger ones within a few ULP of it, by shape.
     """
     _check_channels(pred, mapping)
     return ProbMap(np.moveaxis(_sum_probability_array(np.moveaxis(pred.probs, 2, 0), mapping),
@@ -250,6 +251,7 @@ def _check_channels(pred: ProbMap, mapping: PartsToObjectsMapping) -> None:
 
 
 def _sum_probability_array(probs: np.ndarray, mapping: PartsToObjectsMapping) -> np.ndarray:
-    """Sum the part channels (first axis) of a channel-first array into its object channels."""
-    starts = np.asarray(mapping.boundaries[:-1], dtype=np.intp)
-    return np.add.reduceat(probs, starts, axis=0)
+    """Object sums of a channel-first array: one (objects, parts) 0/1 product over its pixels."""
+    member = mapping.object_lookup() == np.arange(mapping.num_objects)[:, None]
+    summed = member.astype(probs.dtype) @ probs.reshape(len(probs), -1)
+    return summed.reshape((mapping.num_objects,) + probs.shape[1:])

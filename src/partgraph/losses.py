@@ -18,6 +18,9 @@ takes a (C, N, H, W) block of N scenes, the layout the network emits. Graph
 matching runs first and returns its weighted gradient in the dilation
 backward's own buffer; cross-entropy and reconstruction add theirs into it, so
 the whole objective holds three probability-sized arrays at its peak.
+Each pixel's true class is read and written through the block's (C, N*H*W)
+pixel view by one (label, pixel) index pair; a gradient buffer that cannot take
+that view without a copy, where the writes would be lost, raises ValueError.
 
 Pixel aggregation is the mean, so loss magnitudes are independent of image
 size. Probabilities are clamped below at LOG_EPS before the log.
@@ -110,13 +113,13 @@ def _cross_entropy_raw(probs: np.ndarray, labels: np.ndarray, grad: np.ndarray) 
 
     The gradient is added into ``grad``, which has the block's shape.
     """
-    index = labels[None]
-    true_p = np.take_along_axis(probs, index, axis=0)[0]
+    pixels = (labels.ravel(), np.arange(labels.size))
+    true_p = probs.reshape(len(probs), -1)[pixels]
     clamped = np.maximum(true_p, LOG_EPS)
-    npix = true_p[0].size
-    per_scene = -np.log(clamped).reshape(len(true_p), npix).mean(axis=1)
+    npix = labels[0].size
+    per_scene = -np.log(clamped).reshape(len(labels), npix).mean(axis=1)
     slope = np.where(true_p > LOG_EPS, -1.0 / (npix * clamped), 0.0)
-    np.put_along_axis(grad, index, np.take_along_axis(grad, index, axis=0) + slope, axis=0)
+    np.reshape(grad, (len(grad), -1), copy=False)[pixels] += slope
     return float(per_scene.sum() + 0.0)  # +0.0 drops -0.0
 
 
@@ -165,13 +168,14 @@ def _block_loss(probs: np.ndarray, targets, mapping: PartsToObjectsMapping,
     labels = np.stack([p.labels for p, _, _ in targets])
     _, losses, grad = _graph_matching(probs, cfg, [reference for _, _, reference in targets],
                                       weights.lambda2)
-    index = labels[None]
-    gm_true = np.take_along_axis(grad, index, axis=0)
-    np.put_along_axis(grad, index, 0.0, axis=0)
+    pixels = (labels.ravel(), np.arange(labels.size))
+    view = np.reshape(grad, (len(grad), -1), copy=False)
+    gm_true = view[pixels]
+    view[pixels] = 0.0
     rec = _reconstruction_raw(probs, np.stack([o.labels for _, o, _ in targets]), mapping,
                               grad, weights.lambda1)
     ce = _cross_entropy_raw(probs, labels, grad)
-    np.put_along_axis(grad, index, np.take_along_axis(grad, index, axis=0) + gm_true, axis=0)
+    view[pixels] += gm_true
     # a running sum adds the scenes in order, as scene-by-scene totals do (np.sum pairs them)
     return (ce, rec, float(np.cumsum(losses)[-1])), grad
 

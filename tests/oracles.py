@@ -8,17 +8,22 @@ loops that the blocked engine replaced, built on the package's single-scene
 entry points. So are the two adapters that run a channel-first loss kernel on
 one unchecked (H, W, C) scene, for finite-difference checks off the simplex,
 and the scalar-stream oracles, which take one draw per call from the package's
-scalar ``Xorshift64Star`` (whose integer outputs known-answer tests pin).
+scalar ``Xorshift64Star`` (whose integer outputs known-answer tests pin). The
+block-loss oracle keeps the bookkeeping that the pixel-view gathers replaced,
+around the package's graph matching.
 """
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 import numpy as np
 
 from partgraph import ProbMap, Xorshift64Star, init_toy_params, one_hot, toy_forward
-from partgraph.adjacency import gm_value
+from partgraph.adjacency import _graph_matching, gm_value
 from partgraph.condnet import _conv_shapes, _toy_forward_cached, toy_backward
 from partgraph.losses import (
+    LOG_EPS,
     LossReport,
     _cross_entropy_raw,
     _reconstruction_raw,
@@ -430,3 +435,39 @@ def reconstruction_kernel(probs: np.ndarray, objects: np.ndarray, mapping):
     grad = np.zeros_like(probs)
     loss = _reconstruction_raw(_scene_block(probs), objects[None], mapping, _scene_block(grad))
     return loss, grad
+
+
+def _cross_entropy_along_axis(probs: np.ndarray, labels: np.ndarray, grad: np.ndarray) -> float:
+    """Cross-entropy of a (C, N, H, W) block, its true class gathered and scattered along
+    the channel axis; the slope is added into ``grad``."""
+    index = labels[None]
+    true_p = np.take_along_axis(probs, index, axis=0)[0]
+    clamped = np.maximum(true_p, LOG_EPS)
+    npix = true_p[0].size
+    per_scene = -np.log(clamped).reshape(len(true_p), npix).mean(axis=1)
+    slope = np.where(true_p > LOG_EPS, -1.0 / (npix * clamped), 0.0)
+    np.put_along_axis(grad, index, np.take_along_axis(grad, index, axis=0) + slope, axis=0)
+    return float(per_scene.sum() + 0.0)
+
+
+def block_loss_oracle(probs: np.ndarray, targets, mapping, cfg, weights):
+    """``_block_loss`` by ``take_along_axis``/``put_along_axis`` on the true class and
+    ``np.add.reduceat`` object sums: ((ce, rec, gm), gradient), the same terms added in
+    the same order, so equal bit for bit where no object has more than two parts, whose
+    sums no order changes."""
+    labels = np.stack([p.labels for p, _, _ in targets])
+    objects = np.stack([o.labels for _, o, _ in targets])
+    _, losses, grad = _graph_matching(probs, cfg, [r for _, _, r in targets], weights.lambda2)
+    index = labels[None]
+    gm_true = np.take_along_axis(grad, index, axis=0)
+    np.put_along_axis(grad, index, 0.0, axis=0)
+    summed = np.add.reduceat(probs, np.asarray(mapping.boundaries[:-1]), axis=0)
+    grad_summed = np.zeros_like(summed)
+    rec = _cross_entropy_along_axis(summed, objects, grad_summed)
+    grad_summed *= weights.lambda1
+    grad_summed += 0.0
+    for obj, (lo, hi) in enumerate(pairwise(mapping.boundaries)):
+        grad[lo:hi] += grad_summed[obj]
+    ce = _cross_entropy_along_axis(probs, labels, grad)
+    np.put_along_axis(grad, index, np.take_along_axis(grad, index, axis=0) + gm_true, axis=0)
+    return (ce, rec, float(np.cumsum(losses)[-1])), grad

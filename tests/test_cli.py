@@ -424,6 +424,32 @@ def test_empty_output_path_is_a_data_error(scene_files, command):
     assert sorted(base.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", [
+    ("train-toy", "--config", ""),
+    ("train-toy", "--steps", "1", "--trace", ""),
+    ("train-toy", "--steps", "1", "--params", ""),
+    ("synth", "--spec", "", "--out-dir", "{base}/scenes", "--count", "1"),
+    ("loss", "--pred", "{base}/pred.probmap", "--gt", "{base}/parts.segmap",
+     "--gt-objects", "", "--mapping", "{base}/labelset.json"),
+    ("loss", "--pred", "{base}/pred.probmap", "--gt", "{base}/parts.segmap", "--mapping", ""),
+    ("metrics", "--pred-dir", "", "--gt-dir", "", "--labelset", "{base}/labelset.json"),
+    ("metrics", "--pred-dir", "{base}", "--gt-dir", "{base}", "--labelset", ""),
+], ids=["config", "trace", "params", "spec", "gt-objects", "mapping", "dirs", "labelset"])
+def test_an_empty_path_flag_is_named_before_any_work(scene_files, command):
+    # Path("") is the current directory, which holds a scene here: an empty flag is
+    # neither an absent one, nor that directory, nor a file to write after training
+    base, _, _ = scene_files
+    (base / "cwd").mkdir()
+    (base / "cwd" / "scene.segmap").write_bytes((base / "parts.segmap").read_bytes())
+    before = sorted(base.rglob("*"))
+    package_root = str(Path(cli.__file__).resolve().parents[1])  # PYTHONPATH may be relative
+    result = run_cli(*(arg.format(base=base) for arg in command), cwd=base / "cwd",
+                     env={"PYTHONPATH": package_root})
+    flag = command[command.index("") - 1]
+    assert_one_line_data_error(result, f"partgraph {command[0]}: {flag} must not be empty")
+    assert sorted(base.rglob("*")) == before
+
+
 def test_loss_command_json(scene_files):
     base, parts, mapping = scene_files
     result = run_cli("loss", "--pred", str(base / "pred.probmap"),

@@ -16,8 +16,9 @@ from partgraph import (
     project_labels,
     sum_probability,
 )
+from partgraph.core import _sum_probability_array
 
-from oracles import group_sum_oracle
+from oracles import group_sum_oracle, random_probs
 
 
 def test_one_hot_single_pixel():
@@ -132,6 +133,31 @@ def test_sum_probability_against_loop_oracle():
     got = sum_probability(ProbMap(probs), mapping).probs
     want = group_sum_oracle(probs, mapping.boundaries)
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("boundaries", [
+    (0, 1, 3, 5, 7),  # the toy label sets: background and 2-part objects
+    (0, *range(1, 110, 2)),
+    (0, 1, *range(10, 110, 9)),  # the paper's 109 channels: twelve 9-part objects
+], ids=["7_channels", "109_channels_by_2", "109_channels_by_9"])
+def test_object_sums_equal_sequential_sums_on_both_layouts(boundaries):
+    # one BLAS product: a 2-part sum is exact in any order, but BLAS may associate a
+    # longer one differently by shape (it does at these 60 pixels), within the error
+    # bound of a sequential sum of n non-negative terms, 2 (n - 1) eps relative
+    rng = np.random.default_rng(21)
+    mapping = PartsToObjectsMapping(boundaries)
+    probs = random_probs(rng, 12, 5, mapping.num_parts)
+    want = np.moveaxis(group_sum_oracle(probs, boundaries), 2, 0)
+    view = _sum_probability_array(np.moveaxis(probs, 2, 0)[:, None], mapping)[:, 0]
+    block = np.ascontiguousarray(np.moveaxis(probs, 2, 0)).reshape(-1, 2, 6, 5)
+    contiguous = _sum_probability_array(block, mapping).reshape(want.shape)
+    parts = max(np.diff(boundaries))
+    for got in (view, contiguous):
+        if parts <= 2:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=2 * (parts - 1) * np.finfo(float).eps,
+                                       atol=0.0)
 
 
 def test_sum_probability_preserves_mass():

@@ -15,7 +15,9 @@ from partgraph import (
     reconstruction_loss,
     total_loss,
 )
+from partgraph.losses import _block_loss, _cross_entropy_raw, reference_graph
 from oracles import (
+    block_loss_oracle,
     cross_entropy_kernel,
     cross_entropy_oracle,
     fd_check,
@@ -219,6 +221,40 @@ def test_total_loss_adds_its_terms_in_order_under_every_config(cfg, weights, bel
     assert np.array_equal(grad.view(np.int64), combined.view(np.int64))
     if not cfg.include_background:
         assert not g_gm[:, :, 0].any()
+    # the take/put-along-axis and reduceat bookkeeping of the oracle, bit for bit
+    block, targets = np.moveaxis(probs, 2, 0)[:, None], [(parts, objects, reference)]
+    sums, block_grad = _block_loss(block, targets, MAPPING, cfg, weights)
+    want_sums, want_grad = block_loss_oracle(block, targets, MAPPING, cfg, weights)
+    assert sums == want_sums
+    assert np.array_equal(block_grad.view(np.int64), want_grad.view(np.int64))
+
+
+def test_total_loss_of_a_strided_prediction_equals_its_contiguous_copy():
+    # ProbMap keeps a contiguous copy of x[::2]; handed the strided block itself, whose
+    # pixels cannot merge into one axis, the kernels read their pixel view from a copy
+    rng = np.random.default_rng(12)
+    x = random_probs(rng, 14, 6, 5)
+    parts = LabelMap(rng.integers(0, 5, (7, 6)).astype(np.int32))
+    cfg, weights = AdjacencyConfig(), LossWeights()
+    report, grad = total_loss(ProbMap(x[::2]), parts, None, MAPPING, cfg, weights)
+    want, want_grad = total_loss(ProbMap(x[::2].copy()), parts, None, MAPPING, cfg, weights)
+    assert report == want and np.array_equal(grad, want_grad)
+    strided = np.moveaxis(x[::2], 2, 0)[:, None]
+    targets = [(parts, project_labels(parts, MAPPING), reference_graph(parts, 5, cfg))]
+    sums, block_grad = _block_loss(strided, targets, MAPPING, cfg, weights)
+    assert sums == (want.ce, want.rec, want.gm)
+    assert np.array_equal(block_grad[:, 0], np.moveaxis(want_grad, 2, 0))
+
+
+def test_cross_entropy_rejects_a_gradient_buffer_without_a_pixel_view():
+    # scattering into a reshaped copy would drop the gradient silently
+    rng = np.random.default_rng(13)
+    probs = np.moveaxis(random_probs(rng, 4, 4, 5), 2, 0)[:, None]
+    labels = rng.integers(0, 5, (1, 4, 4))
+    grad = np.zeros((5, 1, 8, 4))[:, :, ::2]
+    with pytest.raises(ValueError):
+        _cross_entropy_raw(probs, labels, grad)
+    assert not grad.any()
 
 
 def test_total_loss_gradient_matches_finite_differences():

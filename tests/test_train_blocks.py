@@ -38,7 +38,7 @@ from partgraph.condnet import (
 from partgraph.adjacency import _graph_matching, gm_value, soft_adjacency
 from partgraph.losses import _block_loss, _cross_entropy_raw, _reconstruction_raw, reference_graph
 
-from oracles import mean_gm_loss_oracle, train_step_oracle, train_toy_oracle
+from oracles import block_loss_oracle, mean_gm_loss_oracle, train_step_oracle, train_toy_oracle
 
 NET = ToyNetConfig(num_stages=2, encoder_channels=(4, 6), decoder_channels=(6, 4),
                    embedding=EmbeddingConfig.toy(2), conditioning="multi", seed=3)
@@ -188,6 +188,10 @@ def test_criterion_6_net_scene_is_bit_identical_alone_and_in_any_block(monkeypat
     for images, objs, targets in blocks:
         probs, _ = _forward(images, objs, net, params)
         sums, grad = _block_loss(probs, targets, mapping, CFG, WEIGHTS)
+        # the take/put-along-axis and reduceat bookkeeping of the oracle, bit for bit
+        want_sums, want_grad = block_loss_oracle(probs, targets, mapping, CFG, WEIGHTS)
+        assert sums == want_sums
+        assert np.array_equal(grad.view(np.int64), want_grad.view(np.int64))
         alone_sums = np.zeros(3)
         for j in range(len(targets)):
             rgb, _, objects = next(scene_iter)
