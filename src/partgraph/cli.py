@@ -9,9 +9,11 @@ Identical invocations produce byte-identical output for a fixed BLAS thread
 count; paper-scale ``loss --json`` can differ in its last digits between thread
 counts. ``--threads`` is accepted and ignored.
 
-JSON configs (``train-toy --config``, ``synth --spec``) set only the keys
-they name; every other value is the default of its config class. A key that
-breaks the JSON rules in ``formats`` is a data error (exit 2).
+A config flag's argparse dest is the name of the config field it sets.
+A flag that is given sets that field, over the value of the JSON config
+(``train-toy --config``, ``synth --spec``); a flag left out keeps the JSON
+value, or else the default of the config class. A key that breaks the JSON
+rules in ``formats`` is a data error (exit 2).
 """
 
 from __future__ import annotations
@@ -107,39 +109,27 @@ _TRAIN_KEYS = {**_ADJACENCY_KEYS, "scene": "scene", "net": "net",
                **{f.name: f.name for cls in (LossWeights, TrainRun) for f in fields(cls)}}
 
 
+def _config(cls, args, doc: dict | None = None, where: str = "config", keys=_TRAIN_KEYS):
+    """``cls`` from every flag whose dest is one of its fields, over the JSON object
+    ``doc`` read under ``keys`` and named ``where`` in errors, as in ``_config_fields``."""
+    names = {f.name for f in fields(cls)}
+    return cls(**_config_fields(cls, {} if doc is None else doc, where, keys,
+                                **{dest: v for dest, v in vars(args).items() if dest in names}))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_dilate(args) -> int:
-    grown = dilate_array(load_map(args.infile).labels != 0,
-                         StructuringElement(args.shape, args.radius))
+    grown = dilate_array(load_map(args.infile).labels != 0, _config(StructuringElement, args))
     save_map(LabelMap(grown.astype(np.int32), num_classes=2), args.out)
     return 0
 
 
-def _adjacency_config(args, doc: dict | None = None) -> AdjacencyConfig:
-    """AdjacencyConfig from the train-toy JSON config ``doc`` and the flags given."""
-    return AdjacencyConfig(**_config_fields(
-        AdjacencyConfig, doc or {}, "config", _TRAIN_KEYS,
-        distance_threshold=args.T,
-        element_shape=args.element,
-        weighting="unweighted" if args.unweighted else None,
-        include_background=False if getattr(args, "no_background", False) else None,
-        soft_mode=getattr(args, "soft_mode", None),
-        beta=getattr(args, "beta", None),
-    ))
-
-
-def _loss_weights(args, doc: dict | None = None) -> LossWeights:
-    return LossWeights(**_config_fields(LossWeights, doc or {}, "config", _TRAIN_KEYS,
-                                        lambda1=args.lambda1, lambda2=args.lambda2))
-
-
 def _cmd_graph(args) -> int:
     label_map = load_map(args.infile)
-    cfg = _adjacency_config(args)
-    matrix = adjacency_from_labels(label_map, args.parts, cfg)
+    matrix = adjacency_from_labels(label_map, args.parts, _config(AdjacencyConfig, args))
     if args.normalized:
         matrix = normalize_rows(matrix)
     if args.format == "json":
@@ -167,9 +157,8 @@ def _cmd_loss(args) -> int:
     gt_parts = load_map(args.gt)
     label_set = load_labelset(args.mapping)
     gt_objects = None if args.gt_objects is None else _load_object_labels(args.gt_objects)
-    cfg = _adjacency_config(args)
-    weights = _loss_weights(args)
-    result, _ = total_loss(pred, gt_parts, gt_objects, label_set.mapping, cfg, weights)
+    result, _ = total_loss(pred, gt_parts, gt_objects, label_set.mapping,
+                           _config(AdjacencyConfig, args), _config(LossWeights, args))
     if not np.isfinite(result.total):
         raise NumericError(f"loss is not finite: {result}")
     doc = asdict(result)
@@ -211,13 +200,12 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_train_toy(args) -> int:
     doc = {} if args.config is None else _load_json(args.config, "train-toy config")
-    run = TrainRun(**_config_fields(TrainRun, doc, "config", _TRAIN_KEYS,
-                                    steps=args.steps, lr=args.lr, seed=args.seed))
+    run = _config(TrainRun, args, doc)
+    cfg = _config(AdjacencyConfig, args, doc)
+    weights = _config(LossWeights, args, doc)
     spec = SceneSpec(**_config_fields(SceneSpec, doc.get("scene", {}), "scene"))
     net = ToyNetConfig(**_config_fields(ToyNetConfig, doc.get("net", {}), "net", _NET_KEYS,
-                                        conditioning=args.conditioning))
-    cfg = _adjacency_config(args, doc)
-    weights = _loss_weights(args, doc)
+                                        conditioning=args.conditioning))  # --seed is the run's
 
     scenes, mapping = generate_dataset(spec, run.train_scenes + run.heldout_scenes)
     params, trace = train_toy(scenes[:run.train_scenes], mapping, net, weights, cfg, run.steps,
@@ -249,7 +237,7 @@ def _cmd_synth(args) -> int:
     if args.count < 1:
         raise DomainError(f"--count must be >= 1, got {args.count}")
     doc = {} if args.spec is None else _load_json(args.spec, "scene spec")
-    spec = SceneSpec(**_config_fields(SceneSpec, doc, "scene spec", seed=args.seed))
+    spec = _config(SceneSpec, args, doc, "scene spec", None)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -296,11 +284,13 @@ def build_parser(command: str | None = None) -> _Parser:
         p.get_default("paths").append((flag, p.add_argument(flag, **kwargs).dest))
 
     def add_adjacency_flags(p, background: bool):
-        p.add_argument("--T", type=int, default=None, help="distance threshold in pixels")
-        p.add_argument("--element", choices=ELEMENT_SHAPES, default=None)
-        p.add_argument("--unweighted", action="store_true")
+        p.add_argument("--T", dest="distance_threshold", metavar="T", type=int, default=None,
+                       help="distance threshold in pixels")
+        p.add_argument("--element", dest="element_shape", choices=ELEMENT_SHAPES, default=None)
+        p.add_argument("--unweighted", dest="weighting", action="store_const", const="unweighted")
         if background:
-            p.add_argument("--no-background", action="store_true")
+            p.add_argument("--no-background", dest="include_background", action="store_const",
+                           const=False)
 
     def add_soft_loss_flags(p):
         p.add_argument("--soft-mode", dest="soft_mode", choices=SOFT_MODES, default=None)

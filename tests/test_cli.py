@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,8 @@ from partgraph import (
     LossWeights,
     PartsToObjectsMapping,
     ProbMap,
+    StructuringElement,
+    ToyNetConfig,
     adjacency_from_labels,
     argmax_map,
     confusion,
@@ -39,11 +42,10 @@ from partgraph import cli
 from partgraph.cli import (
     _ADJACENCY_KEYS,
     _NET_KEYS,
-    _adjacency_config,
     _config_fields,
-    _loss_weights,
     build_parser,
 )
+from partgraph.condnet import TrainRun
 from partgraph.formats import load_params, load_segmap
 from partgraph.synth import SceneSpec, generate, generate_dataset
 
@@ -97,16 +99,6 @@ SHARED_FLAGS = ("--T", "2", "--element", "diamond", "--unweighted", "--soft-mode
                 "--beta", "10", "--lambda1", "0.01", "--lambda2", "0.5")
 
 
-@pytest.mark.parametrize("command", [("loss", "--pred", "p", "--gt", "g", "--mapping", "m"),
-                                     ("train-toy",)], ids=["loss", "train-toy"])
-def test_loss_and_train_toy_take_every_shared_flag(command):
-    args = build_parser().parse_args([*command, *SHARED_FLAGS])
-    assert _adjacency_config(args) == AdjacencyConfig(
-        distance_threshold=2, element_shape="diamond", weighting="unweighted",
-        soft_mode="hard_max", beta=10.0)
-    assert _loss_weights(args) == LossWeights(lambda1=0.01, lambda2=0.5)
-
-
 def test_version_reports_format_versions():
     result = run_cli("--version")
     assert result.returncode == 0
@@ -133,6 +125,73 @@ EVERY_FLAG = {
     "synth": [("--threads", "2", "--spec", "s", "--out-dir", "d", "--count", "2",
                "--seed", "3")],
 }
+
+
+SHARED_FIELDS = {"distance_threshold": 2, "element_shape": "diamond", "weighting": "unweighted",
+                 "soft_mode": "hard_max", "beta": 10.0}
+SHARED_WEIGHTS = {"lambda1": 0.01, "lambda2": 0.5}
+
+# per command, the configs its EVERY_FLAG argvs build: the fields their flags set, all
+# others at the class default; --seed sets train-toy's TrainRun alone, not its net or scene
+EVERY_FLAG_CONFIGS = {
+    "dilate": {StructuringElement: {"shape": "diamond", "radius": 3}},
+    "graph": {AdjacencyConfig: {"distance_threshold": 3, "element_shape": "diamond",
+                                "weighting": "unweighted", "include_background": False}},
+    "loss": {AdjacencyConfig: {**SHARED_FIELDS, "include_background": False},
+             LossWeights: SHARED_WEIGHTS},
+    "metrics": {},
+    "train-toy": {TrainRun: {"steps": 4, "lr": 0.1, "seed": 7},
+                  AdjacencyConfig: SHARED_FIELDS, LossWeights: SHARED_WEIGHTS,
+                  SceneSpec: {}, ToyNetConfig: {"conditioning": "single"}},
+    "synth": {SceneSpec: {"seed": 3}},
+}
+
+# dests that steer a command without setting a config field (file flags aside)
+COMMAND_DESTS = {"command", "func", "paths", "threads", "parts", "normalized", "format", "json",
+                 "count"}
+
+
+class ConfigsBuilt(Exception):
+    """Raised by a stubbed consumer once a command has built its configs."""
+
+
+@pytest.mark.parametrize("command", list(EVERY_FLAG))
+def test_every_config_flag_sets_the_field_its_dest_names(monkeypatch, tmp_path, command):
+    built = {}
+
+    def recording(cls, *args, **kwargs):
+        values = _config_fields(cls, *args, **kwargs)
+        built[cls] = cls(**values)
+        return values
+
+    def consumer(*args, **kwargs):
+        raise ConfigsBuilt
+
+    stub = types.SimpleNamespace(labels=np.zeros(1), mapping=None, num_parts=1)
+    monkeypatch.setattr(cli, "_config_fields", recording)
+    monkeypatch.setattr(cli, "_load_json", lambda path, what: {})
+    for name in ("load_map", "load_probmap", "load_labelset", "_load_object_labels"):
+        monkeypatch.setattr(cli, name, lambda path: stub)
+    for name in ("dilate_array", "adjacency_from_labels", "total_loss", "confusion",
+                 "generate_dataset", "save_labelset"):
+        monkeypatch.setattr(cli, name, consumer)
+    monkeypatch.chdir(tmp_path)
+    for name in ("p", "g"):  # metrics reaches confusion only over matching files
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "x.segmap").touch()
+
+    for argv in EVERY_FLAG[command]:
+        built.clear()
+        args = build_parser().parse_args([command, *argv])
+        with pytest.raises(ConfigsBuilt):
+            args.func(args)
+        assert built == {cls: cls(**values) for cls, values in EVERY_FLAG_CONFIGS[command].items()}
+        # a flag whose dest names no field of a config the command builds would be dropped
+        config_fields = set().union(*map(field_names, built))
+        file_dests = {dest for _, dest in args.paths}
+        assert vars(args).keys() - COMMAND_DESTS - file_dests <= config_fields
+        if "--T" in argv:
+            assert "[--T T]" in subcommands(build_parser(command))[command].format_usage()
 
 
 def subcommands(parser) -> dict:
