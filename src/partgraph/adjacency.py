@@ -34,12 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelMap, ProbMap, _check_fits, _check_square_fits, _freeze
+from .core import LabelMap, ProbMap, _check_choice, _check_fits, _check_square_fits, _freeze
 from .errors import DomainError
 from .morphology import (
+    SOFT_MODES,
     StructuringElement,
     check_beta,
-    check_soft_mode,
     _dilate_in_place,
     dilate_array,  # noqa: F401  (bench/run.py --trace 1 patches this name here)
     soft_dilate_backward,
@@ -99,7 +99,10 @@ class AdjacencyConfig:
 
     ``distance_threshold`` is the pixel distance T under which two parts
     count as adjacent; the dilation radius is ceil(T / 2). ``weighting``
-    switches between proximity counts and a binarized (unweighted) graph.
+    switches between proximity counts and a binarized (unweighted) graph; a
+    softmax prediction's off-diagonal soft counts all far exceed 1 (>= 239 for a
+    random one on a 32x32 scene), so its unweighted graph is all ones and the
+    graph-matching term a constant whose gradient is exactly 0.
     ``soft_mode``/``beta`` select the soft-dilation flavor used on the
     prediction side (smooth_max is the differentiable choice).
     """
@@ -114,9 +117,8 @@ class AdjacencyConfig:
     def __post_init__(self):
         object.__setattr__(self, "distance_threshold",
                            whole_number(self.distance_threshold, "distance threshold"))
-        if self.weighting not in WEIGHTINGS:
-            raise DomainError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
-        check_soft_mode(self.soft_mode)
+        _check_choice(self.weighting, WEIGHTINGS, "weighting")
+        _check_choice(self.soft_mode, SOFT_MODES, "soft mode")
         check_beta(self.beta)
         StructuringElement(self.element_shape, 0)  # rejects an unknown shape
 
@@ -159,7 +161,7 @@ def adjacency_from_labels(label_map: LabelMap, num_parts: int,
     hist = np.bincount(labels.ravel())
     present = np.flatnonzero(hist)
     part = (np.cumsum(hist > 0) - 1).astype(np.min_scalar_type(present.size))[labels.ravel()]
-    bit = np.left_shift(np.uint64(1), part & 63, dtype=np.uint64)  # 64 bits on NumPy 1 too
+    bit = np.left_shift(np.uint64(1), part & 63)
     sets = np.zeros((-(-present.size // 64), labels.size), dtype=np.uint64)
     for word in range(len(sets)):
         np.copyto(sets[word], bit, where=part >> 6 == word)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,7 @@ from .formats import (
 from .losses import LossWeights, total_loss
 from .metrics import confusion, report
 from .morphology import ELEMENT_SHAPES, SOFT_MODES, StructuringElement, dilate_array
-from .synth import SceneSpec, generate, generate_dataset
+from .synth import SceneSpec, _scenes, generate_dataset
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,7 +229,7 @@ def _cmd_train_toy(args) -> int:
     }
     if run.heldout_scenes:
         summary["heldout_gm"] = mean_gm_loss(scenes[run.train_scenes:], mapping, net, params, cfg)
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    _write_result(json.dumps(summary, indent=2) + "\n", None)
     return 0
 
 
@@ -244,14 +244,13 @@ def _cmd_synth(args) -> int:
     mapping = spec.mapping()
     save_labelset(LabelSet(mapping), out_dir / "labelset.json")
     written = ["labelset.json"]
-    for i in range(args.count):
-        parts, objects, _, rgb = generate(replace(spec, seed=spec.seed + i))
+    for i, (parts, objects, _, rgb) in enumerate(_scenes(spec, args.count)):
         stem = f"scene_{i:04d}"
         save_segmap(parts, out_dir / f"{stem}.parts.segmap")
         save_probmap(one_hot(objects, mapping.num_objects), out_dir / f"{stem}.objects.probmap")
         save_ppm(rgb, out_dir / f"{stem}.ppm")
         written += [f"{stem}.parts.segmap", f"{stem}.objects.probmap", f"{stem}.ppm"]
-    sys.stdout.write("\n".join(written) + "\n")
+    _write_result("\n".join(written) + "\n", None)
     return 0
 
 
@@ -303,7 +302,7 @@ def build_parser(command: str | None = None) -> _Parser:
         add_path(p, "--in", dest="infile", required=True)
         add_path(p, "--out", required=True)
         p.add_argument("--radius", type=int, required=True)
-        p.add_argument("--shape", choices=ELEMENT_SHAPES, default="square")
+        p.add_argument("--shape", choices=ELEMENT_SHAPES)
 
     if "graph" in names:
         p = add_command("graph", _cmd_graph, "part-adjacency matrix of a label map")

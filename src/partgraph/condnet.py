@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjacency import AdjacencyConfig, _graph_matching
-from .core import PartsToObjectsMapping, ProbMap, _check_entries_fit, one_hot
+from .core import PartsToObjectsMapping, ProbMap, _check_choice, _check_entries_fit, one_hot
 from .errors import DomainError, NumericError
 from .losses import LossReport, LossWeights, _block_loss, reference_graph
 from .losses import total_loss  # noqa: F401  (bench/run.py --trace 1 patches this name here)
@@ -226,10 +226,7 @@ class ToyNetConfig:
                     f"{part} plan has {len(plan)} entries for {self.num_stages} stages")
             if min(plan) < 1:
                 raise DomainError(f"{part} channel counts must be >= 1, got {plan}")
-        if self.conditioning not in CONDITIONING_MODES:
-            raise DomainError(
-                f"conditioning must be one of {CONDITIONING_MODES}, got {self.conditioning!r}"
-            )
+        _check_choice(self.conditioning, CONDITIONING_MODES, "conditioning")
         if self.conditioning != "off" and self.embedding.num_layers < self.num_stages:
             raise DomainError(
                 f"conditioning needs >= {self.num_stages} embedding layers, "

@@ -72,6 +72,12 @@ def _check_labels_below(labels: np.ndarray, num_classes: int) -> None:
         )
 
 
+def _check_choice(value, choices: tuple, what: str) -> None:
+    """``value`` is one of ``choices``; ``what`` names the setting if not."""
+    if value not in choices:
+        raise DomainError(f"{what} must be one of {choices}, got {value!r}")
+
+
 def _check_entries_fit(entries: int, what: str) -> None:
     """``entries`` 8-byte values fit in the address space; ``what`` names the array if not."""
     if 8 * int(entries) > np.iinfo(np.intp).max:

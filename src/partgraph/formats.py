@@ -77,7 +77,7 @@ def _load_json(path: str | Path, what: str) -> dict:
         return dict(pairs)
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or digit count
         raise DomainError(f"malformed {what} JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DomainError(f"{what} in {path} must be a JSON object, got {json.dumps(doc)}")
@@ -91,11 +91,14 @@ _SCALARS = {int: ("an integer", "integers", (int,)), float: ("a number", "number
 
 def _typed(value, hint, where: str):
     """``value`` checked against the field type ``hint`` (``X | None`` reads as ``X``);
-    lists become tuples and objects become nested configs."""
+    integers in float fields become floats, lists tuples and objects nested configs."""
     if hint in _SCALARS:
         expected, _, kinds = _SCALARS[hint]
         if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
-            return value
+            try:  # an integer in a float field is the equal float
+                return hint(value)
+            except OverflowError:
+                raise DomainError(f"{where} is an integer beyond the float range") from None
     elif typing.get_origin(hint) is tuple:
         item = typing.get_args(hint)[0]
         expected = f"a list of {_SCALARS[item][1]}"

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SUM_TOL
+from .core import SUM_TOL, _check_choice
 from .errors import DomainError
 
 ELEMENT_SHAPES = ("square", "diamond")
@@ -63,8 +63,7 @@ class StructuringElement:
     radius: int = 1
 
     def __post_init__(self):
-        if self.shape not in ELEMENT_SHAPES:
-            raise DomainError(f"element shape must be one of {ELEMENT_SHAPES}, got {self.shape!r}")
+        _check_choice(self.shape, ELEMENT_SHAPES, "element shape")
         object.__setattr__(self, "radius", whole_number(self.radius, "radius"))
 
 
@@ -73,12 +72,6 @@ def whole_number(value, what: str) -> int:
     if not (0 <= value < np.inf and value == int(value)):
         raise DomainError(f"{what} must be a nonnegative integer, got {value}")
     return int(value)
-
-
-def check_soft_mode(mode: str) -> None:
-    """Reject a soft-dilation mode outside SOFT_MODES."""
-    if mode not in SOFT_MODES:
-        raise DomainError(f"soft mode must be one of {SOFT_MODES}, got {mode!r}")
 
 
 def check_beta(beta: float) -> None:
@@ -146,8 +139,8 @@ def _dilate_in_place(fields: np.ndarray, elem: StructuringElement) -> None:
         _window_reduce(fields[part], elem, np.bitwise_or, 0, fields[part])
 
 
-def soft_dilate(channel: np.ndarray, elem: StructuringElement,
-                mode: str = "hard_max", beta: float = 20.0) -> np.ndarray:
+def soft_dilate(channel: np.ndarray, elem: StructuringElement, mode: str,
+                beta: float = 20.0) -> np.ndarray:
     """Dilate a real-valued field, or a (..., H, W) stack of them, in [0, 1].
 
     See the module docstring for the modes.
@@ -162,8 +155,8 @@ def _chunks(fields: np.ndarray):
     return [slice(lo, lo + step) for lo in range(0, len(fields), step)]
 
 
-def soft_dilate_forward(stack: np.ndarray, elem: StructuringElement,
-                        mode: str = "hard_max", beta: float = 20.0):
+def soft_dilate_forward(stack: np.ndarray, elem: StructuringElement, mode: str,
+                        beta: float = 20.0):
     """Dilate every (H, W) field of a (..., H, W) stack.
 
     Returns (output, cache) where cache feeds :func:`soft_dilate_backward`.
@@ -174,7 +167,7 @@ def soft_dilate_forward(stack: np.ndarray, elem: StructuringElement,
     # written so that NaN fails it: np.maximum would carry NaN through hard_max
     if not (x.min() >= 0.0 and x.max() <= 1.0 + SUM_TOL):
         raise DomainError("soft dilation expects values in [0, 1]")
-    check_soft_mode(mode)
+    _check_choice(mode, SOFT_MODES, "soft mode")
     fields = x.reshape((-1,) + x.shape[-2:])
     # smooth_max's inv_open outlives the other arrays, as the gradient the backward returns:
     # allocated first, below them on the heap, it leaves their freed space reusable (the

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LabelMap, PartsToObjectsMapping, _check_entries_fit, project_labels
+from .core import LabelMap, PartsToObjectsMapping, _check_choice, _check_entries_fit, project_labels
 from .errors import DomainError
 from .rng import Xorshift64Star
 
@@ -62,8 +62,7 @@ class SceneSpec:
             raise DomainError("every object needs at least one part")
         if self.min_instance < 1:
             raise DomainError("min_instance must be >= 1")
-        if self.layout not in LAYOUTS:
-            raise DomainError(f"layout must be one of {LAYOUTS}, got {self.layout!r}")
+        _check_choice(self.layout, LAYOUTS, "layout")
         object.__setattr__(self, "parts_per_object", tuple(int(p) for p in self.parts_per_object))
 
     @property
@@ -163,17 +162,16 @@ def generate(spec: SceneSpec):
     return parts_map, objects_map, mapping, rgb
 
 
-def generate_dataset(spec: SceneSpec, count: int):
-    """List of ``count`` scenes from consecutive seeds, plus the shared mapping.
+def _scenes(spec: SceneSpec, count: int):
+    """:func:`generate` of ``count`` scenes; scene i takes the seed ``spec.seed + i``."""
+    for i in range(count):
+        yield generate(replace(spec, seed=spec.seed + i))
 
-    Scene i uses ``spec.seed + i``. Returns (scenes, mapping) where each
-    scene is an (rgb, parts, objects) triple ready for the training loop.
-    """
+
+def generate_dataset(spec: SceneSpec, count: int):
+    """(scenes, mapping): the ``count`` scenes of :func:`_scenes` as (rgb, parts, objects)
+    triples ready for the training loop, and their shared mapping."""
     if count < 1:
         raise DomainError("need at least one scene")
-    scenes = []
-    mapping = spec.mapping()
-    for i in range(count):
-        parts, objects, _, rgb = generate(replace(spec, seed=spec.seed + i))
-        scenes.append((rgb, parts, objects))
-    return scenes, mapping
+    scenes = [(rgb, parts, objects) for parts, objects, _, rgb in _scenes(spec, count)]
+    return scenes, spec.mapping()

@@ -691,7 +691,7 @@ def test_synth_command_writes_triples(tmp_path):
 
 
 def test_synth_writes_the_scenes_of_generate_dataset(tmp_path):
-    # _cmd_synth and generate_dataset each give scene i the seed spec.seed + i
+    # _cmd_synth and generate_dataset both take scene i, of seed spec.seed + i, from synth._scenes
     result = run_cli("synth", "--out-dir", str(tmp_path), "--count", "3", "--seed", "5")
     assert result.returncode == 0, result.stderr
     scenes, _ = generate_dataset(SceneSpec(seed=5), 3)
@@ -857,6 +857,60 @@ def test_train_toy_unknown_key_names_every_accepted_key(tmp_path, capsys):
         "", "partgraph train-toy: unknown key 'bogus' in config; expected one of T, beta, "
             "element, heldout_scenes, lambda1, lambda2, lr, net, scene, seed, soft_mode, steps, "
             "train_scenes, weighting\n")
+
+
+# each choice-valued field, set to a value outside its choices, and the exact line it gives
+CHOICE_ERRORS = {
+    "weighting": (["train-toy"], {"weighting": "bogus"},
+                  "weighting must be one of ('weighted', 'unweighted'), got 'bogus'"),
+    "soft_mode": (["train-toy"], {"soft_mode": "bogus"},
+                  "soft mode must be one of ('hard_max', 'smooth_max'), got 'bogus'"),
+    "element": (["train-toy"], {"element": "hex"},
+                "element shape must be one of ('square', 'diamond'), got 'hex'"),
+    "net.conditioning": (["train-toy"], {"net": {"conditioning": "both"}},
+                         "conditioning must be one of ('multi', 'single', 'off'), got 'both'"),
+    "scene.layout": (["train-toy"], {"scene": {"layout": "grid"}},
+                     "layout must be one of ('stacked_rects', 'nested_blobs'), got 'grid'"),
+    "synth-layout": (["synth", "--count", "1", "--out-dir", "scenes"], {"layout": "grid"},
+                     "layout must be one of ('stacked_rects', 'nested_blobs'), got 'grid'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHOICE_ERRORS))
+def test_each_choice_diagnostic_is_one_exact_line(tmp_path, monkeypatch, capsys, case):
+    argv, doc, message = CHOICE_ERRORS[case]
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    flag = "--spec" if argv[0] == "synth" else "--config"
+    assert cli.main([*argv, flag, "cfg.json"]) == 2
+    assert capsys.readouterr() == ("", f"partgraph {argv[0]}: {message}\n")
+
+
+@pytest.mark.parametrize("key", ["lr", "lambda1", "lambda2"])
+def test_an_integer_in_a_float_key_runs_as_the_equal_float(tmp_path, capsys, key):
+    results = []
+    for number in ("1" + "0" * 20, "1e20"):  # 10**20 is beyond uint64
+        cfg_path = tmp_path / f"{number}.json"
+        cfg_path.write_text('{"steps": 2, "train_scenes": 1, "%s": %s}' % (key, number))
+        code = cli.main(["train-toy", "--config", str(cfg_path)])
+        results.append((code, capsys.readouterr().out))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("key", ["lr", "lambda1", "lambda2", "beta"])
+def test_an_integer_beyond_the_float_range_is_one_line_naming_the_key(tmp_path, capsys, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"%s": %s}' % (key, "9" * 400))
+    assert cli.main(["train-toy", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"partgraph train-toy: config.{key} is an integer beyond the float range\n")
+
+
+def test_an_integer_too_long_to_parse_is_a_malformed_config(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"steps": %s}' % ("1" * 5000))
+    result = run_cli("train-toy", "--config", str(cfg_path), env={"PYTHONINTMAXSTRDIGITS": "4300"})
+    assert_one_line_data_error(result, "malformed train-toy config JSON", "5000 digits")
 
 
 def test_train_toy_and_graph_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -132,6 +132,14 @@ def test_smooth_max_rejects_bad_beta():
     assert np.isfinite(soft_dilate(field, elem, mode="smooth_max", beta=700.0)).all()
 
 
+def test_soft_dilation_takes_no_default_mode():
+    # AdjacencyConfig.soft_mode is the one default; a second one here disagreed with it
+    field, elem = np.zeros((3, 3)), StructuringElement("square", 1)
+    for dilate in (soft_dilate, soft_dilate_forward):
+        with pytest.raises(TypeError, match="mode"):
+            dilate(field, elem)
+
+
 @pytest.mark.parametrize("mode", ["hard_max", "smooth_max"])
 @pytest.mark.parametrize("bad", [float("nan"), -0.25, 1.5])
 def test_soft_dilate_rejects_values_outside_unit_range(mode, bad):
