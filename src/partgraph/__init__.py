@@ -24,8 +24,10 @@ from .condnet import (
     train_toy,
 )
 from .core import (
+    DomainError,
     LabelMap,
     LabelSet,
+    NumericError,
     PartsToObjectsMapping,
     ProbMap,
     argmax_map,
@@ -33,7 +35,6 @@ from .core import (
     project_labels,
     sum_probability,
 )
-from .errors import DomainError, NumericError
 from .formats import (
     load_labelset,
     load_map,

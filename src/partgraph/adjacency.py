@@ -34,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelMap, ProbMap, _check_choice, _check_fits, _check_square_fits, _freeze
-from .errors import DomainError
+from .core import (DomainError, LabelMap, ProbMap, _check_choice, _check_fits, _check_square_fits,
+                   _freeze)
 from .morphology import (
+    DEFAULT_BETA,
     SOFT_MODES,
     StructuringElement,
     check_beta,
@@ -73,8 +74,7 @@ class AdjacencyMatrix:
         arr = np.asarray(self.entries, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise DomainError(f"adjacency matrix must be square, got shape {arr.shape}")
-        if self.kind not in (RAW_COUNTS, NORMALIZED):
-            raise DomainError(f"unknown adjacency kind {self.kind!r}")
+        _check_choice(self.kind, (RAW_COUNTS, NORMALIZED), "adjacency kind")
         if not np.isfinite(arr).all():
             raise DomainError("adjacency entries must be finite")
         if arr.min() < 0.0:
@@ -112,7 +112,7 @@ class AdjacencyConfig:
     weighting: str = "weighted"
     include_background: bool = True
     soft_mode: str = "smooth_max"
-    beta: float = 20.0
+    beta: float = DEFAULT_BETA
 
     def __post_init__(self):
         object.__setattr__(self, "distance_threshold",

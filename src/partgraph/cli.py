@@ -29,8 +29,7 @@ import numpy as np
 from . import __version__
 from .adjacency import AdjacencyConfig, adjacency_from_labels, normalize_rows
 from .condnet import CONDITIONING_MODES, ToyNetConfig, TrainRun, mean_gm_loss, train_toy
-from .core import LabelMap, LabelSet, argmax_map, one_hot
-from .errors import DomainError, NumericError
+from .core import DomainError, LabelMap, LabelSet, NumericError, argmax_map, one_hot
 from .formats import (
     FORMAT_VERSION,
     PROB_MAGIC,

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjacency import AdjacencyConfig, _graph_matching
-from .core import PartsToObjectsMapping, ProbMap, _check_choice, _check_entries_fit, one_hot
-from .errors import DomainError, NumericError
+from .core import (DomainError, NumericError, PartsToObjectsMapping, ProbMap, _check_choice,
+                   _check_entries_fit, one_hot)
 from .losses import LossReport, LossWeights, _block_loss, reference_graph
 from .losses import total_loss  # noqa: F401  (bench/run.py --trace 1 patches this name here)
 from .rng import Xorshift64Star
@@ -313,11 +313,6 @@ def init_toy_params(net: ToyNetConfig, num_parts: int, num_objects: int,
 # Conv-relu chains
 # ---------------------------------------------------------------------------
 
-def as_tensor(prob_map: ProbMap) -> np.ndarray:
-    """(H, W, C) probability map as a (C, H, W) tensor."""
-    return np.ascontiguousarray(np.moveaxis(prob_map.probs, 2, 0))
-
-
 def _chain_forward(x: np.ndarray, prefix: str, n: int, params: dict[str, np.ndarray]):
     """Run layers ``{prefix}1 .. {prefix}n``, each relu(stride-2 conv), on a (C, ..., H, W) tensor.
 
@@ -406,7 +401,7 @@ def _forward(x: np.ndarray, objects: np.ndarray, net: ToyNetConfig,
 def _toy_forward_cached(x: np.ndarray, object_probs: ProbMap, net: ToyNetConfig,
                         params: dict[str, np.ndarray]):
     _check_input(x, object_probs, net)
-    return _forward(x, as_tensor(object_probs), net, params)
+    return _forward(x, np.moveaxis(object_probs.probs, 2, 0), net, params)
 
 
 def toy_forward(x: np.ndarray, object_probs: ProbMap, net: ToyNetConfig,
@@ -462,10 +457,10 @@ def toy_backward(cache: dict, grad_probs: np.ndarray) -> dict[str, np.ndarray]:
 # Scenes per block of the training forward and backward. A block runs each
 # conv as one matrix product over all its scenes, but keeps every scene's
 # activations live until its backward. On the 20-scene 32x32 set (2-core
-# x86 VM, numpy 2.4, bench/run.py train_toy32, mean of two runs), blocks of
-# 1, 2, 4, 5, 10 and 20 scenes took 60.5, 54.6, 50.0, 48.7, 50.0 and 51.6 ms
-# per step at reference speed with peak RSS 44.3, 45.5, 47.5, 48.6, 53.4 and
-# 63.6 MB. 4 keeps most of the gain within 7% of the memory of one scene.
+# x86 VM, numpy 2.4, bench/run.py train_toy32, median of three runs), blocks
+# of 1, 2, 4, 5, 10 and 20 scenes took 48.4, 39.8, 34.6, 33.6, 31.0 and 32.6
+# ms per step at reference speed with peak RSS 43.3, 44.4, 46.4, 47.4, 52.7
+# and 63.4 MB. 4 keeps most of the gain within 7% of the memory of one scene.
 _TRAIN_BLOCK = 4
 
 
@@ -490,7 +485,7 @@ def _training_blocks(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
             obj_probs = one_hot(objects, mapping.num_objects)
             _check_input(rgb, obj_probs, net)
             images.append(rgb)
-            objs.append(as_tensor(obj_probs))
+            objs.append(np.moveaxis(obj_probs.probs, 2, 0))
             targets.append((parts, objects, reference_graph(parts, mapping.num_parts, adj_cfg)))
         blocks.append((np.stack(images, axis=1), np.stack(objs, axis=1), targets))
     return blocks

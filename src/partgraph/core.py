@@ -8,6 +8,8 @@ Conventions used everywhere in the package:
 - argmax ties break toward the lowest class index
 - all types are immutable after construction and all operations are pure,
   so shared read-only inputs are safe across threads
+- a broken contract raises ``DomainError`` and a non-finite result
+  ``NumericError``; the CLI turns them into exit codes 2 and 3
 """
 
 from __future__ import annotations
@@ -16,9 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
 SUM_TOL = 1e-6  # per-pixel probability mass must match 1 this closely
+
+
+class DomainError(ValueError):
+    """Input violates a documented contract (bad labels, shape mismatch, malformed file)."""
+
+
+class NumericError(ArithmeticError):
+    """A computation produced a non-finite value."""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

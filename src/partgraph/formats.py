@@ -35,8 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LabelMap, LabelSet, PartsToObjectsMapping, ProbMap
-from .errors import DomainError
+from .core import DomainError, LabelMap, LabelSet, PartsToObjectsMapping, ProbMap
 
 SEGM_MAGIC = b"SEGM"
 PROB_MAGIC = b"PROB"

@@ -42,6 +42,7 @@ from .adjacency import (
     normalize_rows,
 )
 from .core import (
+    DomainError,
     LabelMap,
     PartsToObjectsMapping,
     ProbMap,
@@ -51,7 +52,6 @@ from .core import (
     _sum_probability_array,
     project_labels,
 )
-from .errors import DomainError
 
 LOG_EPS = 1e-12
 

@@ -26,9 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import (LabelMap, LabelSet, _check_labels_below, _check_same_size, _check_square_fits,
-                   _freeze)
-from .errors import DomainError
+from .core import (DomainError, LabelMap, LabelSet, _check_labels_below, _check_same_size,
+                   _check_square_fits, _freeze)
 
 
 @dataclass(frozen=True)

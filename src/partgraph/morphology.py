@@ -46,11 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SUM_TOL, _check_choice
-from .errors import DomainError
+from .core import SUM_TOL, DomainError, _check_choice
 
 ELEMENT_SHAPES = ("square", "diamond")
 SOFT_MODES = ("hard_max", "smooth_max")
+DEFAULT_BETA = 20.0  # smooth_max sharpness wherever a caller gives none
 # smooth_max shifts by 1 instead of the window peak; exp(-beta) must stay normal
 MAX_BETA = 700.0
 # Bytes per chunk of a dilation, one 256 x 256 float64 field: it stays in L2 cache
@@ -140,7 +140,7 @@ def _dilate_in_place(fields: np.ndarray, elem: StructuringElement) -> None:
 
 
 def soft_dilate(channel: np.ndarray, elem: StructuringElement, mode: str,
-                beta: float = 20.0) -> np.ndarray:
+                beta: float = DEFAULT_BETA) -> np.ndarray:
     """Dilate a real-valued field, or a (..., H, W) stack of them, in [0, 1].
 
     See the module docstring for the modes.
@@ -156,7 +156,7 @@ def _chunks(fields: np.ndarray):
 
 
 def soft_dilate_forward(stack: np.ndarray, elem: StructuringElement, mode: str,
-                        beta: float = 20.0):
+                        beta: float = DEFAULT_BETA):
     """Dilate every (H, W) field of a (..., H, W) stack.
 
     Returns (output, cache) where cache feeds :func:`soft_dilate_backward`.

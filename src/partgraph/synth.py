@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LabelMap, PartsToObjectsMapping, _check_choice, _check_entries_fit, project_labels
-from .errors import DomainError
+from .core import (DomainError, LabelMap, PartsToObjectsMapping, _check_choice, _check_entries_fit,
+                   project_labels)
 from .rng import Xorshift64Star
 
 LAYOUTS = ("stacked_rects", "nested_blobs")

@@ -2,9 +2,12 @@
 
 ``bench/run.py --trace 1`` wraps every ``(module, attribute)`` in its
 ``PATCHES`` table; a rename in ``src/`` would otherwise only surface when the
-traced benchmark runs.
+traced benchmark runs. The same table is the one reason a module may import a
+name it never reads, so a leftover import, or a re-import whose patch is gone,
+fails here.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -33,3 +36,24 @@ PATCHES = load_bench_run().PATCHES
                          ids=[f"{p[1]}.{p[2]}" for p in PATCHES])
 def test_traced_layer_boundary_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def unused_imports(path):
+    """Names that ``path`` imports at top level and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_every_unused_import_is_a_patched_boundary():
+    """A top-level import no code reads is kept only for the bench to patch there."""
+    patched = {(module, attr) for _, module, attr, _ in PATCHES}
+    src = Path(__file__).resolve().parent.parent / "src" / "partgraph"
+    unused = {(f"partgraph.{path.stem}", name) for path in sorted(src.glob("*.py"))
+              if path.name != "__init__.py" for name in unused_imports(path)}
+    assert unused - patched == set()

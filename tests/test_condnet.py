@@ -22,7 +22,6 @@ from partgraph.condnet import (
     TrainRun,
     _chain_forward,
     _toy_forward_cached,
-    as_tensor,
     conv2d_backward,
     conv2d_forward,
     softmax_channels,
@@ -51,7 +50,8 @@ def small_net(conditioning="multi", seed=3):
 
 def embedding_pyramid(probs, cfg, params):
     """Activations of every layer of ``cfg`` run as the network's embedding chain."""
-    return [out for _, out in _chain_forward(as_tensor(probs), "emb", cfg.num_layers, params)]
+    objects = np.moveaxis(probs.probs, 2, 0)
+    return [out for _, out in _chain_forward(objects, "emb", cfg.num_layers, params)]
 
 
 def random_scene(rng, h=8, w=8, num_parts=5):

@@ -208,6 +208,11 @@ def test_every_public_name_resolves_once():
     assert [name for name in names if not hasattr(partgraph, name)] == []
 
 
+def test_exception_types_live_in_core():
+    assert partgraph.DomainError is partgraph.core.DomainError
+    assert partgraph.NumericError.__module__ == partgraph.DomainError.__module__ == "partgraph.core"
+
+
 def test_every_public_name_is_documented_or_used():
     # a public name that neither the README, a demo, the acceptance suite nor the CLI
     # mentions is surface no reader finds

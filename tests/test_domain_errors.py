@@ -50,7 +50,8 @@ def case(name, needle, call):
 CASES = [
     case("adjacency non-square", "must be square",
          lambda _: AdjacencyMatrix(np.zeros((2, 3)))),
-    case("adjacency unknown kind", "unknown adjacency kind",
+    case("adjacency unknown kind",
+         "adjacency kind must be one of ('raw_counts', 'normalized'), got 'bogus'",
          lambda _: AdjacencyMatrix(np.zeros((2, 2)), kind="bogus")),
     case("adjacency non-finite", "must be finite",
          lambda _: AdjacencyMatrix(np.array([[0.0, np.inf], [0.0, 0.0]]))),
