@@ -9,11 +9,11 @@ concatenates the embedding level at its own resolution (deepest level first),
 
     stage i output = relu(conv(stage input))  ++  pyramid[k - i]
 
-with ``k`` encoder stages mirrored by ``k`` decoder stages and a final 1x1
-classifier + per-pixel softmax + upsample. The encoder and the embedding are
-chains of relu(stride-2 conv) layers, both run by one forward/backward pair,
-so embedding level k - i has decoder stage i's size; the network's parameters
-are exactly the layers its forward runs.
+with ``k`` encoder stages mirrored by ``k`` decoder stages, each after the first
+run on the x2 upsample of its input, and a final 1x1 classifier + per-pixel
+softmax + upsample. The encoder and the embedding are chains of relu(stride-2
+conv) layers, both run by one forward/backward pair, so embedding level k - i
+has decoder stage i's size; the network's parameters are the layers it runs.
 
 Conditioning modes: ``multi`` concatenates at every decoder stage, ``single``
 only at the deepest stage, ``off`` not at all (the object input is then
@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjacency import AdjacencyConfig, _graph_matching
-from .core import (DomainError, NumericError, PartsToObjectsMapping, ProbMap, _check_choice,
-                   _check_entries_fit, one_hot)
+from .core import (DomainError, LabelMap, NumericError, PartsToObjectsMapping, ProbMap,
+                   _check_choice, _check_entries_fit, _check_labels_below)
 from .losses import LossReport, LossWeights, _block_loss, reference_graph
 from .losses import total_loss  # noqa: F401  (bench/run.py --trace 1 patches this name here)
 from .rng import Xorshift64Star
@@ -156,6 +156,33 @@ def upsample2_backward(grad_out: np.ndarray) -> np.ndarray:
     out += grad_out[..., 0::2, 1::2]
     out += grad_out[..., 1::2, 1::2]
     return out
+
+
+# Per axis, output phase 0 of a 3x3 conv of a nearest x2 upsample reads low-res offsets (-1, 0)
+# with taps (W0, W1 + W2), phase 1 reads (0, +1) with (W0 + W1, W2): row (p, a + 1) below.
+_PHASE_ROWS = np.array([[1, 0, 0], [0, 1, 1], [0, 0, 0], [0, 0, 0], [1, 1, 0], [0, 0, 1]], float)
+_PHASE_TAPS = np.kron(_PHASE_ROWS, _PHASE_ROWS)
+
+
+def _phase_kernel(w: np.ndarray) -> np.ndarray:
+    """The (4F, C, 3, 3) kernel whose output channel (p, q, f) is phase (p, q) of filter f."""
+    v = (w.reshape(-1, 9) @ _PHASE_TAPS.T).reshape(w.shape[:2] + (2, 3, 2, 3))
+    return v.transpose(2, 4, 0, 1, 3, 5).reshape((-1,) + w.shape[1:])
+
+
+def _upsample_conv_forward(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``conv2d_forward(upsample2(h), w, b)``, 3x3 ``w``: a phase conv of ``h``, depth to space."""
+    y = _conv_forward(h, _phase_kernel(w), np.tile(b, 4)).reshape((2, 2, -1) + h.shape[1:])
+    return np.moveaxis(y, (0, 1), (-3, -1)).reshape(y.shape[2:-2] + (2 * h.shape[-2], -1))
+
+
+def _upsample_conv_backward(h: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
+    """Gradients (of ``h``, ``w``, bias) of :func:`_upsample_conv_forward`, at low resolution."""
+    g = grad_out.reshape(grad_out.shape[:-2] + (h.shape[-2], 2, h.shape[-1], 2))
+    g = np.moveaxis(g, (-3, -1), (0, 1)).reshape((-1,) + h.shape[1:])
+    grad_h, grad_v, grad_b = _conv_backward(h, _phase_kernel(w), g)
+    grad_v = grad_v.reshape(2, 2, *w.shape).transpose(2, 3, 0, 4, 1, 5).reshape(-1, 36)
+    return grad_h, (grad_v @ _PHASE_TAPS).reshape(w.shape), grad_b.reshape(4, -1).sum(axis=0)
 
 
 def softmax_channels(logits: np.ndarray) -> np.ndarray:
@@ -313,6 +340,24 @@ def init_toy_params(net: ToyNetConfig, num_parts: int, num_objects: int,
 # Conv-relu chains
 # ---------------------------------------------------------------------------
 
+def _object_taps(labels: np.ndarray, num_objects: int, size: int) -> np.ndarray:
+    """The (size * size, N, H/2, W/2) im2col of a stride-2 size x size layer over the one-hots
+    of (N, H, W) object labels, compacted: the object each tap meets plus one, 0 in padding."""
+    xp, oh, ow = _padded(labels[None] + 1.0, size, size, 2)
+    taps = _columns(xp, size, size, 2, oh, ow).astype(np.min_scalar_type(num_objects))
+    return taps.reshape((size * size,) + labels.shape[:-2] + (oh, ow))
+
+
+def _layer_operands(x: np.ndarray, w: np.ndarray):
+    """(input, weights, stride) of a stride-2 conv layer on ``x``. An integer ``x`` is
+    :func:`_object_taps`, expanded to float64 columns, on which the layer is a 1x1 conv."""
+    if x.dtype.kind == "f":
+        return x, w, 2
+    cols = np.equal(x, np.arange(1, w.shape[1] + 1, dtype=x.dtype).reshape((-1,) + (1,) * x.ndim),
+                    out=np.empty((w.shape[1],) + x.shape), casting="unsafe")
+    return cols.reshape((-1,) + x.shape[1:]), w.reshape(len(w), -1, 1, 1), 1
+
+
 def _chain_forward(x: np.ndarray, prefix: str, n: int, params: dict[str, np.ndarray]):
     """Run layers ``{prefix}1 .. {prefix}n``, each relu(stride-2 conv), on a (C, ..., H, W) tensor.
 
@@ -322,8 +367,8 @@ def _chain_forward(x: np.ndarray, prefix: str, n: int, params: dict[str, np.ndar
     """
     layers = []
     for i in range(1, n + 1):
-        out = np.maximum(_conv_forward(x, params[f"{prefix}{i}.w"], params[f"{prefix}{i}.b"], 2),
-                         0.0)
+        x_in, w, stride = _layer_operands(x, params[f"{prefix}{i}.w"])
+        out = np.maximum(_conv_forward(x_in, w, params[f"{prefix}{i}.b"], stride), 0.0)
         layers.append((x, out))
         x = out
     return layers
@@ -343,21 +388,23 @@ def _chain_backward(layers: list, prefix: str, params: dict[str, np.ndarray],
         h_in, out = layers.pop()
         if joins and i - 1 in joins:
             g = g + joins[i - 1]
-        g, grads[f"{prefix}{i}.w"], grads[f"{prefix}{i}.b"] = _conv_backward(
-            h_in, params[f"{prefix}{i}.w"], g * (out > 0.0), 2, input_grad=i > 1)
+        x_in, w, stride = _layer_operands(h_in, params[f"{prefix}{i}.w"])
+        g, grad_w, grads[f"{prefix}{i}.b"] = _conv_backward(x_in, w, g * (out > 0.0), stride,
+                                                            input_grad=i > 1)
+        grads[f"{prefix}{i}.w"] = grad_w.reshape(params[f"{prefix}{i}.w"].shape)
 
 
 # ---------------------------------------------------------------------------
 # Full network
 # ---------------------------------------------------------------------------
 
-def _check_input(x: np.ndarray, object_probs: ProbMap, net: ToyNetConfig) -> None:
+def _check_input(x: np.ndarray, objects: ProbMap | LabelMap, net: ToyNetConfig) -> None:
     if x.ndim != 3 or x.shape[0] != 3:
         raise DomainError(f"input image must be (3, H, W), got shape {x.shape}")
     _, h, w = x.shape
-    if (object_probs.height, object_probs.width) != (h, w):
-        raise DomainError(f"object probabilities are {object_probs.height}x"
-                          f"{object_probs.width} but the image is {h}x{w}")
+    if (objects.height, objects.width) != (h, w):
+        raise DomainError(f"object probabilities are {objects.height}x"
+                          f"{objects.width} but the image is {h}x{w}")
     scale = 2 ** net.num_stages
     if h % scale or w % scale:
         raise DomainError(f"encoder stage {net.num_stages}: input {h}x{w} is not divisible "
@@ -368,15 +415,16 @@ def _forward(x: np.ndarray, objects: np.ndarray, net: ToyNetConfig,
              params: dict[str, np.ndarray]):
     """Probabilities and backward cache for (3, ..., H, W) images and object maps.
 
-    The encoder and the embedding are :func:`_chain_forward` chains; pyramid
-    level i (0-based) is the activation of embedding layer i + 1, at decoder
-    stage k - i's size as H and W divide by 2^k (:func:`_check_input`). Each
-    cached decoder entry keeps the relu output, as the chains do. The 1x1 head
-    and the softmax run before the last upsample, with which both commute.
+    ``objects`` is (K, ..., H, W) or its :func:`_object_taps`. The encoder and
+    the embedding are :func:`_chain_forward` chains; pyramid level i (0-based)
+    is embedding layer i + 1's activation, at decoder stage k - i's size as H
+    and W divide by 2^k (:func:`_check_input`). Decoder entries cache (input,
+    relu output), as the chains do. The 1x1 head and the softmax run before
+    the last upsample, with which both commute.
     """
     k = net.num_stages
     cache: dict = {"net": net, "params": params}
-    cache["enc"] = _chain_forward(x, "enc", k, params)
+    cache["enc"] = _chain_forward(np.asarray(x, dtype=np.float64), "enc", k, params)
     h = cache["enc"][-1][1]  # the last encoder activation
     if net.conditioning != "off":
         cache["emb"] = _chain_forward(objects, "emb", k, params)
@@ -384,9 +432,8 @@ def _forward(x: np.ndarray, objects: np.ndarray, net: ToyNetConfig,
 
     dec_cache = cache["dec"] = []
     for i in range(1, k + 1):
-        if i > 1:
-            h = upsample2(h)
-        out = np.maximum(_conv_forward(h, params[f"dec{i}.w"], params[f"dec{i}.b"]), 0.0)
+        conv = _upsample_conv_forward if i > 1 else _conv_forward
+        out = np.maximum(conv(h, params[f"dec{i}.w"], params[f"dec{i}.b"]), 0.0)
         dec_cache.append((h, out))
         h = out
         if net.stage_conditioned(i):
@@ -437,10 +484,8 @@ def toy_backward(cache: dict, grad_probs: np.ndarray) -> dict[str, np.ndarray]:
         if net.stage_conditioned(i):
             pyramid_grads[k - i] = g[out.shape[0]:]
             g = g[:out.shape[0]]
-        g, grads[f"dec{i}.w"], grads[f"dec{i}.b"] = _conv_backward(h_in, params[f"dec{i}.w"],
-                                                                   g * (out > 0.0))
-        if i > 1:
-            g = upsample2_backward(g)
+        conv = _upsample_conv_backward if i > 1 else _conv_backward
+        g, grads[f"dec{i}.w"], grads[f"dec{i}.b"] = conv(h_in, params[f"dec{i}.w"], g * (out > 0.0))
 
     _chain_backward(cache.pop("enc"), "enc", params, grads, g)
     if "emb" in cache:
@@ -454,13 +499,8 @@ def toy_backward(cache: dict, grad_probs: np.ndarray) -> dict[str, np.ndarray]:
 # Training
 # ---------------------------------------------------------------------------
 
-# Scenes per block of the training forward and backward. A block runs each
-# conv as one matrix product over all its scenes, but keeps every scene's
-# activations live until its backward. On the 20-scene 32x32 set (2-core
-# x86 VM, numpy 2.4, bench/run.py train_toy32, median of three runs), blocks
-# of 1, 2, 4, 5, 10 and 20 scenes took 48.4, 39.8, 34.6, 33.6, 31.0 and 32.6
-# ms per step at reference speed with peak RSS 43.3, 44.4, 46.4, 47.4, 52.7
-# and 63.4 MB. 4 keeps most of the gain within 7% of the memory of one scene.
+# Scenes per training block: a block runs each conv as one product over its scenes and keeps
+# their activations until its backward. 4 keeps most of larger blocks' speed at little memory.
 _TRAIN_BLOCK = 4
 
 
@@ -469,8 +509,8 @@ def _training_blocks(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
     """Everything a training step reuses: per block, its stacked inputs and per-scene targets.
 
     Consecutive scenes of equal size share a block of at most ``_TRAIN_BLOCK``
-    scenes. Each block is (images (3, N, H, W), object one-hots (K, N, H, W),
-    [(parts, objects, normalized reference graph)] per scene).
+    scenes. Each block is (images (3, N, H, W), the :func:`_object_taps` of
+    its object maps, [(parts, objects, normalized reference graph)] per scene).
     """
     groups: list[list] = []
     for scene in scenes:
@@ -480,14 +520,14 @@ def _training_blocks(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
         groups[-1].append(scene)
     blocks = []
     for group in groups:
-        images, objs, targets = [], [], []
+        targets = []
         for rgb, parts, objects in group:
-            obj_probs = one_hot(objects, mapping.num_objects)
-            _check_input(rgb, obj_probs, net)
-            images.append(rgb)
-            objs.append(np.moveaxis(obj_probs.probs, 2, 0))
+            _check_labels_below(objects.labels, mapping.num_objects)
+            _check_input(rgb, objects, net)
             targets.append((parts, objects, reference_graph(parts, mapping.num_parts, adj_cfg)))
-        blocks.append((np.stack(images, axis=1), np.stack(objs, axis=1), targets))
+        taps = _object_taps(np.stack([objects.labels for _, _, objects in group]),
+                            mapping.num_objects, net.embedding.kernel_sizes[0])
+        blocks.append((np.stack([rgb for rgb, _, _ in group], axis=1), taps, targets))
     return blocks
 
 
@@ -521,8 +561,8 @@ def train_toy(scenes, mapping: PartsToObjectsMapping, net: ToyNetConfig,
     A non-finite loss aborts with the offending step index.
 
     The scenes run through the network in blocks of consecutive scenes of
-    equal size; stacking them, their object one-hots and their reference
-    graphs is done once, before the first step.
+    equal size; stacking them, the columns of their object one-hots and their
+    reference graphs is done once, before the first step.
     """
     TrainRun(steps=steps, lr=lr)
     if not scenes:

@@ -21,7 +21,13 @@ from partgraph import (
 from partgraph.condnet import (
     TrainRun,
     _chain_forward,
+    _columns,
+    _layer_operands,
+    _object_taps,
+    _padded,
     _toy_forward_cached,
+    _upsample_conv_backward,
+    _upsample_conv_forward,
     conv2d_backward,
     conv2d_forward,
     softmax_channels,
@@ -185,6 +191,45 @@ def test_upsample_backward_matches_block_sum_oracle(shape):
     assert np.allclose(back, upsample2_backward_oracle(g), rtol=0, atol=1e-14)
 
 
+def assert_close_to_scale(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape", [(5, 2, 3, 4), (5, 3, 4, 4), (6, 5, 5), (6, 4, 2)],
+                         ids=["block-odd", "block-even", "scene-odd", "scene-even"])
+def test_upsample_conv_equals_conv_of_the_upsample(shape):
+    # the decoder's fused stage against the conv of the upsampled input it replaces
+    rng = np.random.default_rng(21)
+    h, b = rng.standard_normal(shape), rng.standard_normal(3)
+    w = rng.standard_normal((3, shape[0], 3, 3))
+    want = conv2d_forward(upsample2(h), w, b)
+    assert_close_to_scale(_upsample_conv_forward(h, w, b), want)
+    g = rng.standard_normal(want.shape)
+    want_h, want_w, want_b = conv2d_backward(upsample2(h), w, g)
+    got_h, got_w, got_b = _upsample_conv_backward(h, w, g)
+    assert_close_to_scale(got_h, upsample2_backward(want_h))
+    assert_close_to_scale(got_w, want_w)
+    assert_close_to_scale(got_b, want_b)
+
+
+@pytest.mark.parametrize("size, shape, num_objects, dtype", [
+    (7, (2, 8, 12), 4, np.uint8), (5, (3, 6, 6), 255, np.uint8), (3, (1, 4, 2), 300, np.uint16)])
+def test_object_taps_expand_to_the_one_hot_columns_bit_for_bit(size, shape, num_objects, dtype):
+    labels = np.random.default_rng(size).integers(0, 4, shape)
+    labels[:, 0, 0], labels[:, -1, -1] = num_objects - 1, 0  # both border corners
+    taps = _object_taps(labels, num_objects, size)
+    assert taps.dtype == dtype
+    assert taps.shape == (size * size, shape[0], shape[1] // 2, shape[2] // 2)
+    one_hots = np.stack([np.moveaxis(one_hot(LabelMap(scene), num_objects).probs, 2, 0)
+                         for scene in labels], axis=1)
+    xp, oh, ow = _padded(one_hots, size, size, 2)
+    cols, weights, stride = _layer_operands(taps, np.ones((2, num_objects, size, size)))
+    assert weights.shape == (2, num_objects * size * size, 1, 1) and stride == 1
+    assert np.array_equal(cols.reshape(num_objects * size * size, -1),
+                          _columns(xp, size, size, 2, oh, ow))
+
+
 @pytest.mark.parametrize("net, parts, objects, seed", [
     (small_net(), 5, 2, 3),
     (ToyNetConfig(num_stages=2, encoder_channels=(8, 16), decoder_channels=(16, 8),
@@ -239,15 +284,15 @@ def test_embedding_matches_direct_composition():
 def decoder_stages(net, size=8, seed=12):
     """Forward one random scene; return the cache and each decoder stage's output.
 
-    A stage's output is what the next stage consumes before its
-    nearest-neighbour upsample, so every second pixel recovers it exactly; the
+    A stage's output is what the next stage consumes, and its cache entry
+    keeps it at its own resolution, before the upsample its conv fuses; the
     head, which runs before the last upsample, consumes the last one as is.
     """
     rng = np.random.default_rng(seed)
     params = init_toy_params(net, 5, 3)
     x, _, objects = random_scene(rng, size, size)
     _, cache = _toy_forward_cached(x, one_hot(objects, 3), net, params)
-    inputs = [h[:, ::2, ::2] for h, _ in cache["dec"][1:]]
+    inputs = [h for h, _ in cache["dec"][1:]]
     return cache, inputs + [cache["head_in"]]
 
 
@@ -301,6 +346,17 @@ def test_toy_forward_output_is_probability_map():
     out = toy_forward(x, one_hot(objects, 3), net, params)
     assert out.num_classes == 5
     assert np.abs(out.probs.sum(axis=2) - 1.0).max() < 1e-6
+
+
+def test_integer_images_run_as_their_float_values():
+    # integer layer inputs are the compact object taps; an integer image is not read as them
+    rng = np.random.default_rng(5)
+    net = small_net()
+    params = init_toy_params(net, 5, 3)
+    _, _, objects = random_scene(rng)
+    x = rng.integers(0, 4, (3, 8, 8)).astype(np.uint8)
+    want = toy_forward(x.astype(np.float64), one_hot(objects, 3), net, params).probs
+    assert np.array_equal(toy_forward(x, one_hot(objects, 3), net, params).probs, want)
 
 
 def test_toy_forward_rejects_bad_shapes():

@@ -30,7 +30,10 @@ from partgraph import (
 from partgraph import adjacency, condnet, losses
 from partgraph.condnet import (
     _TRAIN_BLOCK,
+    _columns,
     _forward,
+    _layer_operands,
+    _padded,
     _toy_forward_cached,
     _train_step,
     _training_blocks,
@@ -102,9 +105,18 @@ def test_blocked_engine_matches_per_scene_loop(count):
     assert sum(sizes) == count
     assert all(size == _TRAIN_BLOCK for size in sizes[:-1])
     assert 1 <= sizes[-1] <= _TRAIN_BLOCK
+    size = NET.embedding.kernel_sizes[0]
+    weights = np.empty((1, mapping.num_objects, size, size))
     for images, objs, targets in blocks:
         assert images.shape == (3, len(targets), 16, 16)
-        assert objs.shape == (mapping.num_objects, len(targets), 16, 16)
+        # one uint8 entry per tap and output pixel of the first embedding layer
+        assert objs.shape == (size * size, len(targets), 8, 8) and objs.dtype == np.uint8
+        one_hots = np.stack([np.moveaxis(one_hot(objects, mapping.num_objects).probs, 2, 0)
+                             for _, objects, _ in targets], axis=1)
+        xp, oh, ow = _padded(one_hots, size, size, 2)
+        cols, _, _ = _layer_operands(objs, weights)
+        assert np.array_equal(cols.reshape(len(xp) * size * size, -1),
+                              _columns(xp, size, size, 2, oh, ow))
 
 
 def test_mixed_scene_sizes_split_blocks_and_train():
@@ -218,9 +230,8 @@ def _train_peak_mib(scenes, mapping):
 
 
 def test_training_memory_is_bounded_by_the_block(monkeypatch):
-    # the 20-scene 32x32 set of acceptance criterion 6; measured peaks: 4.9 MiB
-    # in blocks of 4 (6.0 MiB as the first call in a process) and 18.9 MiB
-    # with all 20 scenes in one block
+    # the 20-scene 32x32 set of acceptance criterion 6; measured peaks: 3.3 MiB
+    # in blocks of 4 and 12.0 MiB with all 20 scenes in one block
     spec = SceneSpec(width=32, height=32, num_objects=3, parts_per_object=(2, 2, 2),
                      seed=100)
     scenes, mapping = generate_dataset(spec, 20)
